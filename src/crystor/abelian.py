@@ -23,6 +23,7 @@ from functools import reduce
 from math import gcd
 
 from .errors import (
+    BadInput,
     BadModulus,
     BudgetExceeded,
     NotPrime,
@@ -35,15 +36,21 @@ ENUM_BUDGET_ENV = "CRYSTOR_ENUM_BUDGET"
 
 
 def enum_budget() -> int:
-    """Element budget for subgroup enumeration, overridable via environment."""
+    """Budget for subgroup enumeration, overridable via environment.
+
+    It bounds both the ambient elements and the subgroups.  A value that
+    is not a positive integer raises BadInput instead of being ignored.
+    """
     raw = os.environ.get(ENUM_BUDGET_ENV)
     if raw is None:
         return DEFAULT_ENUM_BUDGET
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_ENUM_BUDGET
-    return value if value > 0 else DEFAULT_ENUM_BUDGET
+        value = 0
+    if value < 1:
+        raise BadInput(f"{ENUM_BUDGET_ENV}={raw!r} is not a positive integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -479,17 +486,25 @@ def n_torsion(g: FinAbGroup, n: int) -> FinAbGroup:
     return FinAbGroup.of_orders(gcd(d, n) for d in g.invariant_factors)
 
 
+def p_valuation(x: int, p: int) -> int:
+    """The exponent of p in the nonzero integer x.
+
+    >>> p_valuation(-24, 2), p_valuation(7, 3)
+    (3, 0)
+    """
+    if x == 0:
+        raise BadInput("the p-adic valuation of 0 is infinite")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def p_primary_part(g: FinAbGroup, p: int) -> FinAbGroup:
     """The p-Sylow subgroup: invariant factors p^{v_p(d_i)}."""
     require_prime(p)
-    parts = []
-    for d in g.invariant_factors:
-        q = 1
-        while d % p == 0:
-            d //= p
-            q *= p
-        parts.append(q)
-    return FinAbGroup.of_orders(parts)
+    return FinAbGroup.of_orders(p ** p_valuation(d, p) for d in g.invariant_factors)
 
 
 def require_prime(p: int) -> None:
@@ -528,11 +543,17 @@ def kernel_mod_n(m: IntMatrix, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...
     >>> str(g), gens
     ('Z/2 ⊕ Z/4', ((2, 0), (0, 1)))
     """
+    return snf_kernel_mod_n(smith_normal_form(m), n)
+
+
+def snf_kernel_mod_n(snf: SnfResult, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
+    """kernel_mod_n read off an existing Smith form of the matrix: with
+    U M V = D, the kernel mod n is spanned by (n / gcd(d_j, n)) times the
+    columns of V."""
     if n < 2:
         raise BadModulus("kernel mod n needs n >= 2")
-    snf = smith_normal_form(m)
     diag = list(snf.diagonal())
-    diag += [0] * (m.cols - len(diag))
+    diag += [0] * (snf.V.cols - len(diag))
     orders = []
     gens = []
     for j, d in enumerate(diag):
@@ -773,10 +794,13 @@ def enumerate_subgroups(n: int, t: int, budget: int | None = None):
 
     Generators are the canonical HNF basis rows with pivot < n, reduced
     mod n; the trivial subgroup is the empty tuple.  Raises
-    BudgetExceeded when n**t is larger than the configured element budget
-    (default 2**16, environment-overridable).
+    BudgetExceeded when n**t, or the number of subgroups, is larger than
+    the configured budget (default 2**16, environment-overridable).  The
+    subgroup count is checked while each rank's list grows, so a group
+    such as (Z/2)^9, with 8.3 million subgroups but only 512 elements,
+    fails early instead of filling memory.
 
-    >>> [len(s) for s in enumerate_subgroups(2, 1)]
+    >>> sorted(len(s) for s in enumerate_subgroups(2, 1))
     [0, 1]
     >>> len(enumerate_subgroups(2, 2))
     5
@@ -792,10 +816,21 @@ def enumerate_subgroups(n: int, t: int, budget: int | None = None):
         )
     key = (n, t)
     if key not in _SUBGROUP_CACHE:
-        _SUBGROUP_CACHE[key] = _enumerate_subgroups(n, t)
-    return _SUBGROUP_CACHE[key]
+        _SUBGROUP_CACHE[key] = _enumerate_subgroups(n, t, limit)
+    subgroups = _SUBGROUP_CACHE[key]
+    if len(subgroups) > limit:  # cached under a larger budget
+        _subgroup_budget_exceeded(n, t, limit)
+    return subgroups
 
-def _enumerate_subgroups(n: int, t: int):
+
+def _subgroup_budget_exceeded(n: int, t: int, limit: int):
+    raise BudgetExceeded(
+        f"(Z/{n})^{t} has more than {limit} subgroups, "
+        f"the enumeration budget"
+    )
+
+
+def _enumerate_subgroups(n: int, t: int, limit: int):
     divisors = _divisors(n)
     level = [()]  # bases in dimension 0
     for dim in range(1, t + 1):
@@ -806,6 +841,8 @@ def _enumerate_subgroups(n: int, t: int):
                 for tail in _extension_tails(n, d, lower, dim - 1):
                     row = (d,) + tail
                     grown.append((row,) + tuple((0,) + r for r in basis))
+            if len(grown) > limit:
+                _subgroup_budget_exceeded(n, t, limit)
         level = grown
     out = []
     for basis in level:

@@ -13,7 +13,8 @@ starts a comment anywhere on a line; matrices may span lines.
 
 Every subcommand prints a human report by default and the canonical
 machine report with ``--json``.  Exit codes: 0 success, 1 input error,
-2 invariant-suite failure, 3 enumeration budget exceeded.
+2 invariant-suite failure or route disagreement, 3 enumeration budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .abelian import (
     kernel_mod_n,
     n_torsion,
     p_primary_part,
+    p_valuation,
 )
 from .crys import (
     component_group,
@@ -522,14 +524,6 @@ def _cmd_tate(args) -> tuple[Report, int]:
 # the verification suite
 
 
-def _vp(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def _matrix_poly(mat: IntMatrix, coeffs: list[int], n: int) -> IntMatrix:
     size = mat.rows
     power = IntMatrix.identity(size)
@@ -614,7 +608,7 @@ def _verify_checks(data: DegenerationData, max_m: int,
                 and closed.lattice() == rep.lattice(),
                 f"closed {closed.group} vs {rep.group}")
 
-    cap = max(12, _vp(coker.exponent(), p) + 2)
+    cap = max(12, p_valuation(coker.exponent(), p) + 2)
     try:
         stable = r1crys1_tors(data, cap=cap)
         target = p_primary_part(coker, p)

@@ -12,7 +12,13 @@ places: the kernel route vs the cokernel-torsion route for the component
 group torsion, the pullback construction vs the brute-force subgroup
 enumeration for the maximal submodule itself, and the stabilized
 finite-level chain vs the p-primary part for the derived-functor
-torsion.  Disagreement between routes is a bug, never tolerance.
+torsion.  Disagreement between routes is a bug, never tolerance: it
+raises RouteDisagreement.
+
+The component group and all of its p^m-torsion levels are read off one
+Smith form of mu, cached on the degeneration data (``data.smith``).  The
+crys1 route keeps its own Smith form of mu mod p^m per level, so the
+level checks of les_report still compare two different decompositions.
 """
 
 from __future__ import annotations
@@ -21,20 +27,19 @@ from dataclasses import dataclass
 
 from .abelian import (
     FinAbGroup,
-    IntMatrix,
-    cokernel,
     enumerate_subgroups,
     hnf_rows,
-    kernel_mod_n,
     lattice_contains,
     n_torsion,
     p_primary_part,
+    p_valuation,
     quotient_orders,
     require_prime,
+    snf_kernel_mod_n,
     subgroup_elements,
 )
 from .degen import DegenerationData
-from .errors import BadInput, BadLevel, NotStabilized
+from .errors import BadInput, BadLevel, NotStabilized, RouteDisagreement
 from .pushout import degeneration_object, star_pullback
 
 
@@ -194,22 +199,26 @@ def _type_by_torsion_count(elements, n: int, p: int, m: int, t: int) -> tuple[in
 
 
 def component_group(data: DegenerationData) -> FinAbGroup:
-    """Cokernel of the monodromy pairing."""
+    """Cokernel of the monodromy pairing, read off the cached Smith form;
+    a validated mu is positive definite, so no invariant factor is 0."""
     data.validate()
-    return cokernel(data.mu)
+    return FinAbGroup.of_orders(data.smith.diagonal())
 
 
 def phi_n(data: DegenerationData, m: int) -> FinAbGroup:
     """p^m-torsion of the component group, via the kernel of the
-    monodromy mod p^m; the cokernel-torsion route must agree."""
+    monodromy mod p^m read off the cached Smith form of mu; the
+    cokernel-torsion route must agree."""
     data.validate()
     if m < 1:
         raise BadLevel("torsion level exponent must be at least 1")
     n = data.p**m
-    ker_group, _ = kernel_mod_n(data.mu, n)
-    assert ker_group == n_torsion(component_group(data), n), (
-        "kernel route disagrees with cokernel-torsion route"
-    )
+    ker_group, _ = snf_kernel_mod_n(data.smith, n)
+    torsion = n_torsion(component_group(data), n)
+    if ker_group != torsion:
+        raise RouteDisagreement(
+            "kernel route disagrees with cokernel-torsion route",
+            ker_group, torsion)
     return ker_group
 
 
@@ -253,9 +262,11 @@ def r1crys1_tors(data: DegenerationData, cap: int = 12) -> FinAbGroup:
     stabilized finite-level chain, which must equal the p-primary part
     of the component group."""
     stable, _ = _stabilized_phi(data, cap)
-    assert stable == p_primary_part(component_group(data), data.p), (
-        "stabilized chain disagrees with the p-primary part"
-    )
+    primary = p_primary_part(component_group(data), data.p)
+    if stable != primary:
+        raise RouteDisagreement(
+            "stabilized chain disagrees with the p-primary part",
+            stable, primary)
     return stable
 
 
@@ -284,11 +295,7 @@ def crys1_tate_module(data: DegenerationData, levels: int | None = None) -> Tate
     """
     data.validate()
     p, t = data.p, data.t
-    v_max = 0
-    exp = component_group(data).exponent()
-    while exp % p == 0:
-        exp //= p
-        v_max += 1
+    v_max = p_valuation(component_group(data).exponent(), p)
     m_top = levels if levels is not None else max(6, v_max + 1)
 
     compatible = True
@@ -344,10 +351,13 @@ class LesReport:
 
 
 def les_report(data: DegenerationData, cap: int = 12) -> LesReport:
+    """Per-level exactness through the crys1 route, and the stabilized
+    chain against the p-primary part of the component group; a failed
+    comparison is reported in ``exact``, not raised."""
     data.validate()
     t = data.t
     stable, stab_level = _stabilized_phi(data, cap)
-    r1 = r1crys1_tors(data, cap)
+    r1 = p_primary_part(component_group(data), data.p)
 
     levels = []
     for m in range(1, min(stab_level + 1, cap) + 1):
@@ -400,11 +410,7 @@ def tate_closed_form(v: int, p: int, m: int) -> Crys1Report:
     if m < 1:
         raise BadLevel("torsion level exponent must be at least 1")
     n = p**m
-    w = 0
-    x = v
-    while x % p == 0:
-        x //= p
-        w += 1
+    w = p_valuation(v, p)
     if m <= w:
         gens = ((1, 0), (0, 1))
         orders = (n, n)

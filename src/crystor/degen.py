@@ -16,8 +16,16 @@ a prolongable extension plus a monodromy map nu = mu mod p^m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .abelian import FinAbGroup, GroupHom, IntMatrix, require_prime
+from .abelian import (
+    FinAbGroup,
+    GroupHom,
+    IntMatrix,
+    SnfResult,
+    require_prime,
+    smith_normal_form,
+)
 from .errors import (
     BadInput,
     BadLevel,
@@ -39,7 +47,14 @@ def default_unit_symbols(t: int) -> tuple[tuple[str, ...], ...]:
 
 @dataclass(frozen=True)
 class DegenerationData:
-    """Construction never validates; call validate() before computing."""
+    """Construction never validates; call validate() before computing.
+
+    The instance validates once: a passing validate() is remembered, a
+    failing one raises again on every call.  ``smith`` caches the Smith
+    form of ``mu``, from which the component group and every level of
+    its p-power torsion are read.  Neither cache takes part in equality
+    or hashing, which see the fields only.
+    """
 
     p: int
     mu: IntMatrix
@@ -55,6 +70,12 @@ class DegenerationData:
         return self.unit_symbols[i][j]
 
     def validate(self) -> None:
+        self._validated
+
+    @cached_property
+    def _validated(self) -> bool:
+        # cached_property stores only a returned value, so an instance
+        # that fails its checks runs them, and raises, on every call
         try:
             require_prime(self.p)
         except NotPrime:
@@ -73,6 +94,12 @@ class DegenerationData:
             rows = self.unit_symbols
             if len(rows) != self.t or any(len(r) != self.t for r in rows):
                 raise ShapeMismatch("units must form a t x t symbol grid")
+        return True
+
+    @cached_property
+    def smith(self) -> SnfResult:
+        """Smith normal form of mu, computed on first use."""
+        return smith_normal_form(self.mu)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Error taxonomy shared by the library and the CLI.
 
 Every error carries a stable identifier (its class name) that the CLI
-prints verbatim, and an exit code: 1 for bad input or misuse, 3 when an
-enumeration would exceed the configured budget.  Exit code 2 is reserved
-for invariant-suite failures, which are reported, not raised.
+prints verbatim, and an exit code: 1 for bad input or misuse, 2 when two
+independent routes to the same object disagree, 3 when an enumeration
+would exceed the configured budget.  Invariant-suite failures also exit
+with 2, but they are reported, not raised.
 """
 
 
@@ -87,7 +88,23 @@ class NotStabilized(ArtifactError):
         )
 
 
+class RouteDisagreement(ArtifactError):
+    """Two independent routes to the same object gave different values.
+
+    This is a bug in the package, never a property of the input; both
+    values are kept for the report.
+    """
+
+    exit_code = 2
+
+    def __init__(self, what: str, first, second):
+        self.first = first
+        self.second = second
+        super().__init__(f"{what}: {first} vs {second}")
+
+
 class BudgetExceeded(ArtifactError):
-    """An enumeration would exceed the configured element budget."""
+    """An enumeration would exceed the configured element or subgroup
+    budget."""
 
     exit_code = 3

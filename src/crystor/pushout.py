@@ -29,7 +29,7 @@ from .abelian import (
     unimodular_inverse,
 )
 from .degen import DegenerationData, raynaud_decompose
-from .errors import BadInput, NotAMorphism, ShapeMismatch
+from .errors import BadInput, NotAMorphism, RouteDisagreement, ShapeMismatch
 from .kummer import ExtClass, KummerClass, baer_sum, is_one_crystalline
 
 
@@ -226,10 +226,12 @@ def mp_pushout(obj: ExtNuObject) -> ExtClass:
         for i in range(obj.mult_rank)
     )
     cls = ExtClass(obj.n, obj.mult_rank, obj.etale_rank, val_rows)
-    presented = mp_presentation(obj)
-    assert presented.group == middle_term_group(obj), (
-        "presentation route disagrees with class route on the middle term"
-    )
+    presented = mp_presentation(obj).group
+    by_class = middle_term_group(obj)
+    if presented != by_class:
+        raise RouteDisagreement(
+            "presentation route disagrees with class route on the middle term",
+            presented, by_class)
     return cls
 
 
@@ -357,9 +359,10 @@ def check_mp_exactness(f: ExtNuMorphism, g: ExtNuMorphism) -> bool:
         raise ShapeMismatch("the two morphisms do not chain")
     by_presentation = _is_ses(mp_hom(f), mp_hom(g))
     by_parts = _is_ses(f.mult_hom, g.mult_hom) and _is_ses(f.etale_hom, g.etale_hom)
-    assert by_presentation == by_parts, (
-        "presentation route and componentwise route disagree"
-    )
+    if by_presentation != by_parts:
+        raise RouteDisagreement(
+            "presentation route and componentwise route disagree",
+            by_presentation, by_parts)
     return by_presentation
 
 

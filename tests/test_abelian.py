@@ -19,12 +19,15 @@ from crystor.abelian import (
     kernel_mod_n,
     n_torsion,
     p_primary_part,
+    p_valuation,
     smith_normal_form,
+    snf_kernel_mod_n,
     subgroup_canonical,
     subgroup_elements,
     unimodular_inverse,
 )
 from crystor.errors import (
+    BadInput,
     BadModulus,
     BudgetExceeded,
     NotPrime,
@@ -180,6 +183,16 @@ def test_kernel_order_law(m, n):
         assert len(subgroup_elements(gens, n, m.cols)) == expect
 
 
+def test_kernel_read_off_an_existing_smith_form():
+    for rows in ([[2, 0], [0, 4]], [[2, 1], [1, 2]], [[6, 2], [2, 10]], [[0, 3]]):
+        m = IntMatrix.from_rows(rows)
+        snf = smith_normal_form(m)
+        for n in (2, 3, 4, 8, 9):
+            assert snf_kernel_mod_n(snf, n) == kernel_mod_n(m, n)
+    with pytest.raises(BadModulus):
+        snf_kernel_mod_n(smith_normal_form(IntMatrix.identity(1)), 1)
+
+
 def test_kernel_vs_cokernel_torsion_snake():
     # the two independent routes to the same finite group
     for rows, n in [([[2, 0], [0, 4]], 4), ([[2, 1], [1, 2]], 3),
@@ -239,6 +252,15 @@ def test_n_torsion():
     assert n_torsion(FinAbGroup.cyclic(5), 2) == FinAbGroup.trivial()
     # frozen: the 2-torsion of Z/2 + Z/4 has 4 elements
     assert n_torsion(FinAbGroup((2, 4)), 2) == FinAbGroup((2, 2))
+
+
+def test_p_valuation():
+    assert p_valuation(1, 2) == 0
+    assert p_valuation(-24, 2) == 3
+    assert p_valuation(162, 3) == 4
+    assert p_valuation(10, 7) == 0
+    with pytest.raises(BadInput):
+        p_valuation(0, 5)
 
 
 def test_p_primary():
@@ -403,6 +425,31 @@ def test_subgroup_budget_env_override(monkeypatch):
         enumerate_subgroups(3, 2)
     monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "100")
     assert len(enumerate_subgroups(3, 2)) == 6
+
+
+def test_subgroup_budget_counts_subgroups():
+    # (Z/2)^3 has 8 elements but 16 subgroups
+    with pytest.raises(BudgetExceeded, match="subgroups"):
+        enumerate_subgroups(2, 3, budget=15)
+    assert len(enumerate_subgroups(2, 3, budget=16)) == 16
+    # now cached, and still refused under the smaller budget
+    with pytest.raises(BudgetExceeded):
+        enumerate_subgroups(2, 3, budget=15)
+
+
+def test_subgroup_budget_stops_z2_rank_nine(monkeypatch):
+    # 512 elements pass the element budget, but its 8,283,458 subgroups
+    # must not be listed: the default budget stops the walk early
+    monkeypatch.delenv("CRYSTOR_ENUM_BUDGET", raising=False)
+    with pytest.raises(BudgetExceeded):
+        enumerate_subgroups(2, 9)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5", "0"])
+def test_subgroup_budget_env_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", raw)
+    with pytest.raises(BadInput, match="CRYSTOR_ENUM_BUDGET"):
+        enumerate_subgroups(2, 2)
 
 
 def test_subgroup_bad_modulus():

@@ -1,6 +1,7 @@
 """Input parsing, report plumbing, exit codes, and the shipped corpus."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,69 @@ def test_budget_exceeded_exit_three(capsys, tmp_path, monkeypatch):
         capsys, ["crys1", str(path), "--m", "2", "--oracle"])
     assert code == 3
     assert err.startswith("error: BudgetExceeded:")
+
+
+def test_oracle_subgroup_budget_exit_three(capsys, tmp_path, monkeypatch):
+    # (Z/2)^9 has 512 elements but 8,283,458 subgroups
+    monkeypatch.delenv("CRYSTOR_ENUM_BUDGET", raising=False)
+    path = tmp_path / "z2_rank9.txt"
+    rows = ", ".join(
+        "[" + ", ".join("2" if j == i else "0" for j in range(9)) + "]"
+        for i in range(9))
+    path.write_text(f"p = 2\nt = 9\nmu = [{rows}]\n")
+    code, _, err = run_main(
+        capsys, ["crys1", str(path), "--m", "1", "--oracle"])
+    assert code == 3
+    assert err.startswith("error: BudgetExceeded:")
+
+
+def test_bad_budget_value_exit_one(capsys, monkeypatch):
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "abc")
+    code, _, err = run_main(
+        capsys, ["crys1", str(CORPUS / "tate_v05_p5.txt"), "--m", "1", "--oracle"])
+    assert code == 1
+    assert err.startswith("error: BadInput: CRYSTOR_ENUM_BUDGET")
+
+
+def test_route_disagreement_exit_two(capsys, monkeypatch):
+    import crystor.crys
+    from crystor.abelian import FinAbGroup
+
+    monkeypatch.setattr(crystor.crys, "n_torsion", lambda g, n: FinAbGroup.trivial())
+    code, out, err = run_main(
+        capsys, ["phi-check", str(CORPUS / "tate_v05_p5.txt"), "--m", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: RouteDisagreement:")
+
+
+ROUTE_CHECK_UNDER_O = """
+import sys
+assert False, "asserts are live"
+import crystor.crys as crys
+import crystor.degen as degen
+from crystor.abelian import FinAbGroup, IntMatrix
+from crystor.degen import DegenerationData
+from crystor.errors import RouteDisagreement
+
+# skip the prime test: sympy would be byte-compiled afresh under -O
+degen.require_prime = lambda p: None
+crys.n_torsion = lambda g, n: FinAbGroup.trivial()
+try:
+    crys.phi_n(DegenerationData(5, IntMatrix.from_rows([[5]])), 1)
+except RouteDisagreement:
+    print("raised", sys.flags.optimize)
+"""
+
+
+def test_route_check_survives_python_O():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", ROUTE_CHECK_UNDER_O],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised 1\n"
 
 
 def test_unknown_subcommand_exit_one(capsys):

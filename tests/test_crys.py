@@ -20,7 +20,12 @@ from crystor.crys import (
     tate_closed_form,
 )
 from crystor.degen import DegenerationData
-from crystor.errors import BadInput, BudgetExceeded, NotStabilized
+from crystor.errors import (
+    BadInput,
+    BudgetExceeded,
+    NotStabilized,
+    RouteDisagreement,
+)
 
 
 def data_of(p, rows):
@@ -218,6 +223,67 @@ def test_r1_equals_p_primary_random():
         )
         got = r1crys1_tors(data, 24)
         assert got == p_primary_part(component_group(data), data.p)
+
+
+# --- one Smith form of mu per input -----------------------------------
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Arguments of every smith_normal_form call, wherever a crystor
+    module holds its own reference to the function."""
+    import sys
+
+    import crystor.abelian
+
+    calls = []
+    real = crystor.abelian.smith_normal_form
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("crystor") and getattr(module, "smith_normal_form", None) is real:
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+    return calls
+
+
+def test_one_smith_form_of_mu_per_input(snf_calls):
+    # the negative entries keep every mu mod p^m different from mu
+    data = data_of(3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]])
+    assert component_group(data) == FinAbGroup.cyclic(396)
+    assert r1crys1_tors(data, cap=40) == FinAbGroup.cyclic(9)
+    rep = les_report(data, cap=40)
+    assert rep.exact and rep.stabilized_at == 2
+    assert sum(1 for m in snf_calls if m == data.mu) == 1
+    assert len(snf_calls) > 1  # the crys1 route keeps its own Smith forms
+
+
+def test_route_disagreement_in_phi_n(monkeypatch):
+    import crystor.crys
+
+    monkeypatch.setattr(crystor.crys, "n_torsion", lambda g, n: FinAbGroup.trivial())
+    with pytest.raises(RouteDisagreement) as exc:
+        phi_n(data_of(5, [[5]]), 1)
+    assert exc.value.first == FinAbGroup.cyclic(5)
+    assert exc.value.second == FinAbGroup.trivial()
+    assert exc.value.exit_code == 2
+
+
+def test_route_disagreement_in_r1_and_les(monkeypatch):
+    import crystor.crys
+
+    monkeypatch.setattr(crystor.crys, "p_primary_part",
+                        lambda g, p: FinAbGroup.trivial())
+    data = data_of(5, [[5]])
+    with pytest.raises(RouteDisagreement):
+        r1crys1_tors(data)
+    # les_report keeps its own comparison and reports it
+    rep = les_report(data)
+    assert rep.colimit_torsion == FinAbGroup.cyclic(5)
+    assert rep.r1_torsion.is_trivial()
+    assert not rep.exact
 
 
 # --- Tate module ------------------------------------------------------

@@ -77,6 +77,46 @@ def test_validate_rejects_composite_p():
         data_of(6, [[1]]).validate()
 
 
+def test_validate_runs_its_checks_once(monkeypatch):
+    import crystor.degen
+
+    dets = []
+    primes = []
+    real_det = IntMatrix.det
+    real_prime = crystor.degen.require_prime
+    monkeypatch.setattr(IntMatrix, "det", lambda m: dets.append(m) or real_det(m))
+    monkeypatch.setattr(crystor.degen, "require_prime",
+                        lambda p: primes.append(p) or real_prime(p))
+    data = data_of(3, [[4, 1, 0], [1, 4, 1], [0, 1, 4]])
+    for _ in range(3):
+        data.validate()
+    assert len(dets) == 3  # one Bareiss leading minor per k = 1..t
+    assert primes == [3]
+    # a fresh equal instance validates afresh
+    data_of(3, [[4, 1, 0], [1, 4, 1], [0, 1, 4]]).validate()
+    assert len(dets) == 6
+
+
+def test_invalid_instance_raises_on_every_call():
+    indefinite = data_of(3, [[1, 2], [2, 1]])
+    asymmetric = data_of(3, [[2, 1], [0, 2]])
+    for _ in range(3):
+        with pytest.raises(NotPositiveDefinite):
+            indefinite.validate()
+        with pytest.raises(NotSymmetric):
+            asymmetric.validate()
+
+
+def test_smith_form_is_cached_outside_equality():
+    data = data_of(3, [[2, 1], [1, 2]])
+    twin = data_of(3, [[2, 1], [1, 2]])
+    assert data.smith is data.smith
+    assert data.smith.diagonal() == (1, 3)
+    data.validate()
+    assert data == twin and hash(data) == hash(twin)
+    assert repr(data) == repr(twin)
+
+
 def test_validate_rejects_bad_symbol_grid():
     with pytest.raises(ShapeMismatch):
         data_of(2, [[1, 0], [0, 1]], (("a",), ("b",))).validate()

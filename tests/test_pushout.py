@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from crystor.abelian import FinAbGroup, GroupHom, IntMatrix, is_exact
 from crystor.degen import DegenerationData, torsion_module
-from crystor.errors import BadInput, NotAMorphism, ShapeMismatch
+from crystor.errors import BadInput, NotAMorphism, RouteDisagreement, ShapeMismatch
 from crystor.kummer import ExtClass, KummerClass, is_one_crystalline
 from crystor.pushout import (
     ExtNuMorphism,
@@ -290,6 +290,26 @@ def test_non_exact_chain_detected():
     g = ExtNuMorphism(b, c, IntMatrix.from_rows([[0, 1]]),
                       IntMatrix.from_rows([[0, 1]]))
     assert check_mp_exactness(f, g) is False
+
+
+def test_pushout_route_disagreement_raises(monkeypatch):
+    import crystor.pushout
+
+    monkeypatch.setattr(crystor.pushout, "middle_term_group",
+                        lambda obj: FinAbGroup.trivial())
+    with pytest.raises(RouteDisagreement):
+        mp_pushout(free_obj(4, 1, 1, [[2]]))
+
+
+def test_exactness_route_disagreement_raises(monkeypatch):
+    import crystor.pushout
+
+    answers = iter([True, False, False])
+    monkeypatch.setattr(crystor.pushout, "_is_ses", lambda f, g: next(answers))
+    a = free_obj(4, 1, 1, [[0]])
+    with pytest.raises(RouteDisagreement) as exc:
+        check_mp_exactness(ExtNuMorphism.identity(a), ExtNuMorphism.identity(a))
+    assert (exc.value.first, exc.value.second) == (True, False)
 
 
 def test_chain_mismatch_rejected():
