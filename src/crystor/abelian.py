@@ -156,6 +156,16 @@ class IntMatrix:
         return "[" + ", ".join(str(list(self.row(i))) for i in range(self.rows)) + "]"
 
 
+def diagonal_rows(entries) -> list[list[int]]:
+    """Rows of the square diagonal matrix diag(entries), as lists.
+
+    >>> diagonal_rows([2, 3])
+    [[2, 0], [0, 3]]
+    """
+    k = len(entries)
+    return [[d if j == i else 0 for j in range(k)] for i, d in enumerate(entries)]
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -191,8 +201,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         raise ShapeMismatch("Smith normal form of an empty matrix")
     nr, nc = m.rows, m.cols
     a = [list(m.row(i)) for i in range(nr)]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    u = diagonal_rows((1,) * nr)
+    v = diagonal_rows((1,) * nc)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -366,11 +376,8 @@ def lattice_solve(basis, vec, dim: int):
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1."""
     n = m.rows
-    aug = hnf_rows(
-        [list(m.row(i)) + [1 if j == i else 0 for j in range(n)] for i in range(n)],
-        n,
-        aug=n,
-    )
+    ident = diagonal_rows((1,) * n)
+    aug = hnf_rows([list(m.row(i)) + ident[i] for i in range(n)], n, aug=n)
     # HNF of a unimodular matrix is the identity; passengers hold the inverse
     inv = [r[n:] for r in aug]
     return IntMatrix.from_rows(inv)
@@ -536,24 +543,19 @@ def cokernel(m: IntMatrix) -> FinAbGroup:
 def kernel_mod_n(m: IntMatrix, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
     """Kernel of multiplication by m on (Z/n)^cols, with aligned generators.
 
-    The i-th returned generator has order exactly the i-th invariant
-    factor of the returned group.
+    With U M V = D it is spanned by (n / gcd(d_j, n)) times the columns
+    of V, so the i-th returned generator has order exactly the i-th
+    invariant factor of the returned group.
 
     >>> g, gens = kernel_mod_n(IntMatrix.from_rows([[2, 0], [0, 4]]), 4)
     >>> str(g), gens
     ('Z/2 ⊕ Z/4', ((2, 0), (0, 1)))
     """
-    return snf_kernel_mod_n(smith_normal_form(m), n)
-
-
-def snf_kernel_mod_n(snf: SnfResult, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
-    """kernel_mod_n read off an existing Smith form of the matrix: with
-    U M V = D, the kernel mod n is spanned by (n / gcd(d_j, n)) times the
-    columns of V."""
     if n < 2:
         raise BadModulus("kernel mod n needs n >= 2")
+    snf = smith_normal_form(m)
     diag = list(snf.diagonal())
-    diag += [0] * (snf.V.cols - len(diag))
+    diag += [0] * (m.cols - len(diag))
     orders = []
     gens = []
     for j, d in enumerate(diag):
@@ -649,24 +651,11 @@ class GroupHom:
     # A subgroup of the target ⊕ Z/e_i is a lattice L with E Z^l ⊆ L ⊆ Z^l,
     # E = diag(e_i); subgroups are compared by the canonical HNF of L.
 
-    def _source_relations(self):
-        k = self.source.rank
-        return [
-            [self.source.invariant_factors[i] if j == i else 0 for j in range(k)]
-            for i in range(k)
-        ]
-
-    def _target_relations(self):
-        l = self.target.rank
-        return [
-            [self.target.invariant_factors[i] if j == i else 0 for j in range(l)]
-            for i in range(l)
-        ]
-
     def image_lattice(self):
         """HNF basis of the image subgroup's lattice inside Z^target_rank."""
         cols = [list(self.matrix.column(j)) for j in range(self.source.rank)]
-        return hnf_rows(cols + self._target_relations(), self.target.rank)
+        return hnf_rows(cols + diagonal_rows(self.target.invariant_factors),
+                        self.target.rank)
 
     def kernel_lattice(self):
         """HNF basis of the kernel subgroup's lattice inside Z^source_rank."""
@@ -674,16 +663,15 @@ class GroupHom:
         if k == 0:
             return []
         if l == 0:
-            return hnf_rows([[1 if j == i else 0 for j in range(k)] for i in range(k)], k)
+            return hnf_rows(diagonal_rows((1,) * k), k)
         # solve B x ≡ 0 mod E: integer kernel of [B | E], projected to x
+        rel = diagonal_rows(self.target.invariant_factors)
         stacked = IntMatrix.from_rows(
-            [list(self.matrix.row(i))
-             + [self.target.invariant_factors[i] if j == i else 0 for j in range(l)]
-             for i in range(l)]
+            [list(self.matrix.row(i)) + rel[i] for i in range(l)]
         )
         snf = smith_normal_form(stacked)
         members = [list(snf.V.column(j)[:k]) for j in range(l, k + l)]
-        return hnf_rows(members + self._source_relations(), k)
+        return hnf_rows(members + diagonal_rows(self.source.invariant_factors), k)
 
     def kernel(self) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
         basis = self.kernel_lattice()
@@ -696,11 +684,7 @@ class GroupHom:
     @staticmethod
     def _subgroup_from_lattice(basis, ambient: FinAbGroup):
         dim = ambient.rank
-        rel = [
-            [ambient.invariant_factors[i] if j == i else 0 for j in range(dim)]
-            for i in range(dim)
-        ]
-        orders = quotient_orders(basis, rel, dim)
+        orders = quotient_orders(basis, diagonal_rows(ambient.invariant_factors), dim)
         group = FinAbGroup.of_orders(orders)
         gens = []
         for row in basis:
@@ -741,6 +725,27 @@ def is_exact(f: GroupHom, g: GroupHom) -> bool:
 def _divisors(n: int) -> list[int]:
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
+
+
+def subgroup_count_bound(n: int, t: int) -> int:
+    """Lower bound on the number of subgroups of (Z/n)^t, exact for prime n.
+
+    It is the product, over the primes p | n, of the Galois number
+    G_t(p) = sum_k [t choose k]_p, the number of subgroups of the
+    p-torsion (Z/p)^t; the recurrence G_{k+1} = 2 G_k + (p^k - 1) G_{k-1}
+    gives it without enumeration.
+
+    >>> subgroup_count_bound(2, 9), subgroup_count_bound(6, 2)
+    (8283458, 30)
+    """
+    bound = 1
+    for p in _divisors(n):
+        if p > 1 and all(p % q for q in range(2, p)):
+            prev, cur = 1, 2  # G_0, G_1
+            for k in range(1, t):
+                prev, cur = cur, 2 * cur + (p**k - 1) * prev
+            bound *= cur
+    return bound
 
 
 def _extension_tails(n: int, d: int, basis, dim: int):
@@ -795,10 +800,11 @@ def enumerate_subgroups(n: int, t: int, budget: int | None = None):
     Generators are the canonical HNF basis rows with pivot < n, reduced
     mod n; the trivial subgroup is the empty tuple.  Raises
     BudgetExceeded when n**t, or the number of subgroups, is larger than
-    the configured budget (default 2**16, environment-overridable).  The
-    subgroup count is checked while each rank's list grows, so a group
-    such as (Z/2)^9, with 8.3 million subgroups but only 512 elements,
-    fails early instead of filling memory.
+    the configured budget (default 2**16, environment-overridable).  A
+    group whose subgroup_count_bound already exceeds the budget, such as
+    (Z/2)^9 with 8.3 million subgroups but only 512 elements, is refused
+    before any walking; the others are checked while each rank's list
+    grows.
 
     >>> sorted(len(s) for s in enumerate_subgroups(2, 1))
     [0, 1]
@@ -814,6 +820,8 @@ def enumerate_subgroups(n: int, t: int, budget: int | None = None):
         raise BudgetExceeded(
             f"{n}^{t} = {n ** t} elements exceeds the enumeration budget {limit}"
         )
+    if subgroup_count_bound(n, t) > limit:
+        _subgroup_budget_exceeded(n, t, limit)
     key = (n, t)
     if key not in _SUBGROUP_CACHE:
         _SUBGROUP_CACHE[key] = _enumerate_subgroups(n, t, limit)
@@ -859,8 +867,7 @@ def _pivot_index(row) -> int:
 
 def subgroup_canonical(gens, n: int, dim: int):
     """Canonical HNF form of the subgroup of (Z/n)^dim spanned by ``gens``."""
-    rows = [list(g) for g in gens]
-    rows += [[n if j == i else 0 for j in range(dim)] for i in range(dim)]
+    rows = [list(g) for g in gens] + diagonal_rows((n,) * dim)
     return tuple(tuple(r) for r in hnf_rows(rows, dim))
 
 

@@ -479,8 +479,6 @@ def _cmd_les(args) -> tuple[Report, int]:
         "levels": [
             {
                 "m": lv.m,
-                "injective": lv.injective,
-                "composite_zero": lv.composite_zero,
                 "orders_match": lv.orders_match,
                 "surjective": lv.surjective,
                 "ok": lv.ok(),
@@ -582,7 +580,7 @@ def _verify_checks(data: DegenerationData, max_m: int,
             add(f"level reduction m={m}->{m - 1}",
                 tors.ext.reduce_to(p ** (m - 1))
                 == torsion_module(data, m - 1).ext)
-        kernel_route = kernel_mod_n(mu, n)[0]
+        kernel_route = kernel_mod_n(mu.mod(n), n)[0]
         torsion_route = n_torsion(coker, n)
         add(f"kernel vs torsion routes at m={m}",
             kernel_route == torsion_route,

@@ -126,7 +126,8 @@ class TorsionModule:
         return self.n ** (2 * self.t)
 
 
-def _level(p: int, m: int) -> int:
+def level_modulus(p: int, m: int) -> int:
+    """The modulus p^m of torsion level m >= 1."""
     if m < 1:
         raise BadLevel("torsion level exponent must be at least 1")
     return p**m
@@ -136,7 +137,7 @@ def torsion_module(data: DegenerationData, m: int) -> TorsionModule:
     """The p^m-torsion extension class: kappa[i][j] has valuation
     mu[i][j] mod p^m and unit symbol u_ij."""
     data.validate()
-    n = _level(data.p, m)
+    n = level_modulus(data.p, m)
     t = data.t
     kappa = tuple(
         tuple(
@@ -152,7 +153,7 @@ def monodromy_map(data: DegenerationData, m: int) -> GroupHom:
     """nu = mu mod p^m, from the etale part (weight dropped by one) to
     the multiplicative part."""
     data.validate()
-    n = _level(data.p, m)
+    n = level_modulus(data.p, m)
     free = FinAbGroup.of_orders([n] * data.t)
     return GroupHom(free, free, data.mu.mod(n))
 

@@ -13,6 +13,7 @@ from crystor.abelian import (
     GroupHom,
     IntMatrix,
     cokernel,
+    diagonal_rows,
     enumerate_subgroups,
     hnf_rows,
     is_exact,
@@ -21,8 +22,8 @@ from crystor.abelian import (
     p_primary_part,
     p_valuation,
     smith_normal_form,
-    snf_kernel_mod_n,
     subgroup_canonical,
+    subgroup_count_bound,
     subgroup_elements,
     unimodular_inverse,
 )
@@ -181,16 +182,6 @@ def test_kernel_order_law(m, n):
     assert g.order == expect
     if expect <= 512:
         assert len(subgroup_elements(gens, n, m.cols)) == expect
-
-
-def test_kernel_read_off_an_existing_smith_form():
-    for rows in ([[2, 0], [0, 4]], [[2, 1], [1, 2]], [[6, 2], [2, 10]], [[0, 3]]):
-        m = IntMatrix.from_rows(rows)
-        snf = smith_normal_form(m)
-        for n in (2, 3, 4, 8, 9):
-            assert snf_kernel_mod_n(snf, n) == kernel_mod_n(m, n)
-    with pytest.raises(BadModulus):
-        snf_kernel_mod_n(smith_normal_form(IntMatrix.identity(1)), 1)
 
 
 def test_kernel_vs_cokernel_torsion_snake():
@@ -439,10 +430,30 @@ def test_subgroup_budget_counts_subgroups():
 
 def test_subgroup_budget_stops_z2_rank_nine(monkeypatch):
     # 512 elements pass the element budget, but its 8,283,458 subgroups
-    # must not be listed: the default budget stops the walk early
+    # must not be listed: the count bound refuses before any walking
+    import time
+
     monkeypatch.delenv("CRYSTOR_ENUM_BUDGET", raising=False)
-    with pytest.raises(BudgetExceeded):
+    start = time.process_time()
+    with pytest.raises(BudgetExceeded, match="subgroups"):
         enumerate_subgroups(2, 9)
+    assert time.process_time() - start < 0.5
+
+
+def test_subgroup_count_bound_is_exact_for_prime_moduli():
+    for n, t in [(2, 1), (2, 4), (2, 6), (3, 3), (3, 4), (5, 3), (7, 2), (11, 2)]:
+        assert subgroup_count_bound(n, t) == len(enumerate_subgroups(n, t)), (n, t)
+
+
+def test_subgroup_count_bound_is_a_lower_bound():
+    for n, t in [(4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (6, 3), (8, 2),
+                 (8, 3), (9, 2), (9, 3), (12, 1), (12, 2)]:
+        assert subgroup_count_bound(n, t) <= len(enumerate_subgroups(n, t)), (n, t)
+
+
+def test_diagonal_rows():
+    assert diagonal_rows([2, 3]) == [[2, 0], [0, 3]]
+    assert diagonal_rows(()) == []
 
 
 @pytest.mark.parametrize("raw", ["abc", "-5", "0"])

@@ -244,9 +244,9 @@ def test_route_disagreement_exit_two(capsys, monkeypatch):
     import crystor.crys
     from crystor.abelian import FinAbGroup
 
-    monkeypatch.setattr(crystor.crys, "n_torsion", lambda g, n: FinAbGroup.trivial())
-    code, out, err = run_main(
-        capsys, ["phi-check", str(CORPUS / "tate_v05_p5.txt"), "--m", "1"])
+    monkeypatch.setattr(crystor.crys, "p_primary_part",
+                        lambda g, p: FinAbGroup.trivial())
+    code, out, err = run_main(capsys, ["r1", str(CORPUS / "tate_v05_p5.txt")])
     assert code == 2
     assert out == ""
     assert err.startswith("error: RouteDisagreement:")
@@ -263,9 +263,9 @@ from crystor.errors import RouteDisagreement
 
 # skip the prime test: sympy would be byte-compiled afresh under -O
 degen.require_prime = lambda p: None
-crys.n_torsion = lambda g, n: FinAbGroup.trivial()
+crys.p_primary_part = lambda g, p: FinAbGroup.trivial()
 try:
-    crys.phi_n(DegenerationData(5, IntMatrix.from_rows([[5]])), 1)
+    crys.r1crys1_tors(DegenerationData(5, IntMatrix.from_rows([[5]])))
 except RouteDisagreement:
     print("raised", sys.flags.optimize)
 """

@@ -174,7 +174,7 @@ def test_phi_two_routes_random():
         data = data_of(rng.choice([2, 3, 5]), rows)
         m = rng.randint(1, 4)
         n = data.p**m
-        via_kernel = kernel_mod_n(data.mu, n)[0]
+        via_kernel = kernel_mod_n(data.mu.mod(n), n)[0]
         via_coker = n_torsion(component_group(data), n)
         assert via_kernel == via_coker
         assert phi_n(data, m) == via_kernel
@@ -228,25 +228,28 @@ def test_r1_equals_p_primary_random():
 # --- one Smith form of mu per input -----------------------------------
 
 
-@pytest.fixture
-def snf_calls(monkeypatch):
-    """Arguments of every smith_normal_form call, wherever a crystor
+def record_calls(monkeypatch, real) -> list:
+    """First arguments of every call to ``real``, wherever a crystor
     module holds its own reference to the function."""
     import sys
 
-    import crystor.abelian
-
     calls = []
-    real = crystor.abelian.smith_normal_form
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("crystor") and getattr(module, "smith_normal_form", None) is real:
-            monkeypatch.setattr(module, "smith_normal_form", counted)
+        if name.startswith("crystor") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counted)
     return calls
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    import crystor.abelian
+
+    return record_calls(monkeypatch, crystor.abelian.smith_normal_form)
 
 
 def test_one_smith_form_of_mu_per_input(snf_calls):
@@ -260,15 +263,32 @@ def test_one_smith_form_of_mu_per_input(snf_calls):
     assert len(snf_calls) > 1  # the crys1 route keeps its own Smith forms
 
 
-def test_route_disagreement_in_phi_n(monkeypatch):
-    import crystor.crys
+def test_no_kummer_objects_on_the_crys1_path(monkeypatch):
+    import crystor.degen
+    import crystor.pushout
 
-    monkeypatch.setattr(crystor.crys, "n_torsion", lambda g, n: FinAbGroup.trivial())
-    with pytest.raises(RouteDisagreement) as exc:
-        phi_n(data_of(5, [[5]]), 1)
-    assert exc.value.first == FinAbGroup.cyclic(5)
-    assert exc.value.second == FinAbGroup.trivial()
-    assert exc.value.exit_code == 2
+    objects = record_calls(monkeypatch, crystor.pushout.degeneration_object)
+    modules = record_calls(monkeypatch, crystor.degen.torsion_module)
+    data = data_of(3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]])
+    assert les_report(data, cap=40).exact
+    assert crys1_tate_module(data).reduction_compatible
+    assert objects == [] and modules == []
+
+
+def test_smith_form_fault_fails_the_level_checks():
+    # a wrong cached Smith form of mu = [[5]] (D = [25]) must be caught
+    # by every check that sets it against the kernel of mu mod p^m
+    from crystor.abelian import SnfResult
+    from crystor.cli import _verify_checks
+
+    data = data_of(5, [[5]])
+    one = IntMatrix.from_rows([[1]])
+    object.__setattr__(data, "smith",
+                       SnfResult(one, IntMatrix.from_rows([[25]]), one))
+    assert phi_formula_check(data, 2)[1] is False
+    assert les_report(data).exact is False
+    failed = [name for name, ok, _ in _verify_checks(data, 3, 0) if not ok]
+    assert "kernel vs torsion routes at m=2" in failed
 
 
 def test_route_disagreement_in_r1_and_les(monkeypatch):

@@ -1,5 +1,7 @@
 """Monodromy pushout, star pullback, presented middle terms, exactness."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -238,6 +240,24 @@ def test_pullback_is_maximal_among_subgroups():
         )
         inside = all(lattice_contains(ker_basis, g, t) for g in gens)
         assert vanishes == inside
+
+
+def test_pullback_matches_crys1_on_the_corpus():
+    # crys1_torsion reads the kernel of mu mod p^m directly; the category
+    # route through the degeneration object must give the same y-part
+    from crystor.cli import parse_input
+    from crystor.crys import crys1_torsion
+
+    files = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.txt"))
+    assert len(files) == 22
+    for path in files:
+        data = parse_input(path.read_text())
+        t = data.t
+        for m in (1, 2, 3):
+            _, inc = star_pullback(degeneration_object(data, m))
+            rep = crys1_torsion(data, m)
+            assert inc.generators == tuple(g[t:] for g in rep.generators[t:])
+            assert inc.orders == rep.generator_orders[t:]
 
 
 # --- morphisms and exactness ------------------------------------------
