@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Count subgroups of (Z/n)^t and time the enumerator.
 
-Useful when tuning the enumeration budget: the element count n^t is
-what the budget guards, but the subgroup count is what drives the
-oracle's actual cost.
+Useful when tuning the enumeration budget, which bounds both the
+element count n^t and the subgroup count; the subgroup count is what
+drives the enumerator's cost.  (The crys1 oracle walks the n^t
+elements only and enumerates no subgroups.)
 """
 
 import argparse

@@ -6,7 +6,7 @@ form d_1 | d_2 | ... | d_k with every d_i >= 2 (the trivial group is the
 empty list).  The workhorses are Smith normal form with its unimodular
 transforms and a row-style Hermite normal form; on top of them sit
 kernels, cokernels, torsion and primary parts, exactness tests, and an
-exhaustive subgroup enumerator used by the brute-force oracles.
+exhaustive subgroup enumerator.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]))
 >>> snf.D.as_rows()
@@ -36,9 +36,10 @@ ENUM_BUDGET_ENV = "CRYSTOR_ENUM_BUDGET"
 
 
 def enum_budget() -> int:
-    """Budget for subgroup enumeration, overridable via environment.
+    """Budget for brute-force walks, overridable via environment.
 
-    It bounds both the ambient elements and the subgroups.  A value that
+    It bounds the ambient elements of the oracle and of subgroup
+    enumeration, and the number of subgroups enumerated.  A value that
     is not a positive integer raises BadInput instead of being ignored.
     """
     raw = os.environ.get(ENUM_BUDGET_ENV)
@@ -791,7 +792,15 @@ def _extension_tails(n: int, d: int, basis, dim: int):
     return reps
 
 
-_SUBGROUP_CACHE: dict[tuple[int, int], tuple] = {}
+def require_element_budget(n: int, t: int, budget: int | None = None) -> int:
+    """The budget in force (``budget``, else enum_budget()); raises
+    BudgetExceeded when (Z/n)^t has more elements than that."""
+    limit = budget if budget is not None else enum_budget()
+    if n ** t > limit:
+        raise BudgetExceeded(
+            f"{n}^{t} = {n ** t} elements exceeds the enumeration budget {limit}"
+        )
+    return limit
 
 
 def enumerate_subgroups(n: int, t: int, budget: int | None = None):
@@ -815,20 +824,10 @@ def enumerate_subgroups(n: int, t: int, budget: int | None = None):
         raise BadModulus("subgroup enumeration needs n >= 2")
     if t < 1:
         raise ShapeMismatch("rank must be >= 1")
-    limit = budget if budget is not None else enum_budget()
-    if n ** t > limit:
-        raise BudgetExceeded(
-            f"{n}^{t} = {n ** t} elements exceeds the enumeration budget {limit}"
-        )
+    limit = require_element_budget(n, t, budget)
     if subgroup_count_bound(n, t) > limit:
         _subgroup_budget_exceeded(n, t, limit)
-    key = (n, t)
-    if key not in _SUBGROUP_CACHE:
-        _SUBGROUP_CACHE[key] = _enumerate_subgroups(n, t, limit)
-    subgroups = _SUBGROUP_CACHE[key]
-    if len(subgroups) > limit:  # cached under a larger budget
-        _subgroup_budget_exceeded(n, t, limit)
-    return subgroups
+    return _enumerate_subgroups(n, t, limit)
 
 
 def _subgroup_budget_exceeded(n: int, t: int, limit: int):

@@ -18,8 +18,9 @@ The checks compare deliberately independent routes: the crys1 quotient
 by the toric part (the Smith form of mu mod p^m) against the
 component-group torsion (the Smith form of mu) in phi_formula_check and
 at every level of les_report, the crys1 route against brute-force
-subgroup enumeration in oracle_crys1, and the stabilized finite-level
-chain against the p-primary part for the derived-functor torsion.
+evaluation of mu on every etale vector in oracle_crys1, and the
+stabilized finite-level chain against the p-primary part for the
+derived-functor torsion.
 Disagreement between routes is a bug, never tolerance: it raises
 RouteDisagreement or is reported as a failed check.
 """
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from .abelian import (
     FinAbGroup,
     diagonal_rows,
-    enumerate_subgroups,
     hnf_rows,
     kernel_mod_n,
     lattice_contains,
@@ -39,6 +39,7 @@ from .abelian import (
     p_primary_part,
     p_valuation,
     quotient_orders,
+    require_element_budget,
     require_prime,
     subgroup_elements,
 )
@@ -103,37 +104,29 @@ def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
 
 
 def oracle_crys1(data: DegenerationData, m: int, budget: int | None = None) -> Crys1Report:
-    """Brute-force route: the sum of all crystalline submodules.
+    """Brute-force route: evaluate the monodromy on every etale vector.
 
-    A candidate containing the multiplicative part is the span of the
-    x-basis plus lifts of an etale subgroup W; it is 1-crystalline
-    exactly when the monodromy kills W.  Summing over every enumerated
-    subgroup that passes (closure under sums makes the restriction to
-    candidates containing the x-span harmless) gives the maximal one.
-    The abstract type of the resulting y-part is read off by counting
-    p^k-torsion elements, so no Smith-form machinery is shared with the
-    direct route.
+    The maximal submodule is the x-span plus the lifts of every etale
+    vector that mu mod p^m kills.  Walking all n^t vectors in order,
+    each killed one outside the span so far is picked as a generator
+    and the span is recomputed element by element.  The abstract type
+    of the resulting y-part is read off by counting p^k-torsion
+    elements and the generator orders by gcds, so no Smith or Hermite
+    form is shared with the direct route.  Raises BudgetExceeded when
+    n^t exceeds the budget.
     """
     data.validate()
     p, t = data.p, data.t
     n = level_modulus(p, m)
-    subgroups = enumerate_subgroups(n, t, budget=budget)
+    require_element_budget(n, t, budget)
 
-    # mask of etale vectors killed by the monodromy, by direct evaluation
     mu_rows = data.mu.as_rows()
-    killed = set()
-    for vec in _all_vectors(n, t):
-        if all(sum(r[j] * vec[j] for j in range(t)) % n == 0 for r in mu_rows):
-            killed.add(vec)
-
     picked: list[tuple[int, ...]] = []
     current = frozenset({(0,) * t})
-    for gens in subgroups:
-        if not all(g in killed for g in gens):
-            continue
-        new = [g for g in gens if g not in current]
-        if new:
-            picked.extend(new)
+    for vec in _all_vectors(n, t):
+        killed = all(sum(r[j] * vec[j] for j in range(t)) % n == 0 for r in mu_rows)
+        if killed and vec not in current:
+            picked.append(vec)
             current = subgroup_elements(tuple(picked), n, t)
 
     orders_y = _type_by_torsion_count(current, n, p, m, t)

@@ -23,6 +23,7 @@ from .abelian import (
     FinAbGroup,
     GroupHom,
     IntMatrix,
+    diagonal_rows,
     is_exact,
     kernel_mod_n,
     smith_normal_form,
@@ -196,13 +197,7 @@ def mp_presentation(obj: ExtNuObject) -> PresentedModule:
         + tuple(f"c{i + 1}" for i in range(s))
     )
     n_gen = 2 * r + s
-    rows = []
-    for j in range(r):
-        rows.append([e[j] if k == j else 0 for k in range(n_gen)])
-    for j in range(r):
-        rows.append([e[j] if k == r + j else 0 for k in range(n_gen)])
-    for i in range(s):
-        rows.append([o[i] if k == 2 * r + i else 0 for k in range(n_gen)])
+    rows = diagonal_rows(e + e + o)
     for j in range(r):
         row = [0] * n_gen
         row[j] = 1
@@ -406,35 +401,23 @@ def object_direct_sum(a: ExtNuObject, b: ExtNuObject) -> ExtNuObject:
     return ExtNuObject(n, eta, nu)
 
 
-def _block_column(top: IntMatrix, total_rows: int, offset: int) -> IntMatrix:
-    rows = [[0] * top.cols for _ in range(total_rows)]
-    for i in range(top.rows):
-        for j in range(top.cols):
-            rows[offset + i][j] = top.entry(i, j)
-    return IntMatrix.from_rows(rows)
-
-
 def sum_inclusion(a: ExtNuObject, b: ExtNuObject) -> ExtNuMorphism:
     """a -> a (+) b onto the first block."""
     total = object_direct_sum(a, b)
+    mult_rows = diagonal_rows((1,) * total.mult_rank)
+    etale_rows = diagonal_rows((1,) * total.etale_rank)
     return ExtNuMorphism(
         a, total,
-        _block_column(IntMatrix.identity(a.mult_rank),
-                      total.mult_rank, 0),
-        _block_column(IntMatrix.identity(a.etale_rank),
-                      total.etale_rank, 0),
+        IntMatrix.from_rows([row[:a.mult_rank] for row in mult_rows]),
+        IntMatrix.from_rows([row[:a.etale_rank] for row in etale_rows]),
     )
 
 
 def sum_projection(a: ExtNuObject, b: ExtNuObject) -> ExtNuMorphism:
     """a (+) b -> b off the first block."""
     total = object_direct_sum(a, b)
-    mult_rows = [[0] * total.mult_rank for _ in range(b.mult_rank)]
-    for i in range(b.mult_rank):
-        mult_rows[i][a.mult_rank + i] = 1
-    etale_rows = [[0] * total.etale_rank for _ in range(b.etale_rank)]
-    for i in range(b.etale_rank):
-        etale_rows[i][a.etale_rank + i] = 1
+    mult_rows = diagonal_rows((1,) * total.mult_rank)
+    etale_rows = diagonal_rows((1,) * total.etale_rank)
     return ExtNuMorphism(total, b,
-                         IntMatrix.from_rows(mult_rows),
-                         IntMatrix.from_rows(etale_rows))
+                         IntMatrix.from_rows(mult_rows[a.mult_rank:]),
+                         IntMatrix.from_rows(etale_rows[a.etale_rank:]))

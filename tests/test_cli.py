@@ -218,18 +218,24 @@ def test_budget_exceeded_exit_three(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: BudgetExceeded:")
 
 
-def test_oracle_subgroup_budget_exit_three(capsys, tmp_path, monkeypatch):
-    # (Z/2)^9 has 512 elements but 8,283,458 subgroups
+def test_oracle_answers_z2_rank_nine(capsys, tmp_path, monkeypatch):
+    # (Z/2)^9 has 512 elements, inside the element budget, and 8,283,458
+    # subgroups; the oracle walks the elements only, so it answers
     monkeypatch.delenv("CRYSTOR_ENUM_BUDGET", raising=False)
     path = tmp_path / "z2_rank9.txt"
     rows = ", ".join(
         "[" + ", ".join("2" if j == i else "0" for j in range(9)) + "]"
         for i in range(9))
     path.write_text(f"p = 2\nt = 9\nmu = [{rows}]\n")
-    code, _, err = run_main(
-        capsys, ["crys1", str(path), "--m", "1", "--oracle"])
-    assert code == 3
-    assert err.startswith("error: BudgetExceeded:")
+    code, out, _ = run_main(
+        capsys, ["crys1", str(path), "--m", "1", "--oracle", "--json"])
+    assert code == 0
+    oracle = json.loads(out)["result"]["oracle"]
+    assert oracle["agrees"] is True and oracle["order"] == 2**18
+    code, out, _ = run_main(capsys, ["verify", str(path), "--max-m", "1"])
+    assert code == 0
+    assert "ok oracle agreement at m=1" in out
+    assert "FAIL" not in out
 
 
 def test_bad_budget_value_exit_one(capsys, monkeypatch):

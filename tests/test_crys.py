@@ -121,6 +121,15 @@ def test_oracle_budget_guard():
         oracle_crys1(data_of(2, [[8, 1], [1, 8]]), 3, budget=63)
 
 
+def test_oracle_enumerates_no_subgroups(monkeypatch):
+    import crystor.abelian
+
+    calls = record_calls(monkeypatch, crystor.abelian.enumerate_subgroups)
+    data = data_of(2, [[6, 1], [1, 4]])
+    assert oracle_crys1(data, 2).group == crys1_torsion(data, 2).group
+    assert calls == []
+
+
 def test_oracle_agrees_on_frozen_cases():
     for rows, p, m in [([[5]], 5, 1), ([[5]], 5, 2), ([[3]], 5, 1),
                        ([[2, 0], [0, 4]], 2, 2), ([[2, 1], [1, 2]], 3, 1),
@@ -136,7 +145,7 @@ def test_oracle_agrees_on_frozen_cases():
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_oracle_agreement_random(data):
-    t = data.draw(st.integers(1, 2))
+    t = data.draw(st.integers(1, 4))
     p = data.draw(st.sampled_from([2, 3, 5]))
     m = data.draw(st.integers(1, 2 if p == 5 else 3))
     if (p**m) ** t > 2**12:
@@ -289,6 +298,11 @@ def test_smith_form_fault_fails_the_level_checks():
     assert les_report(data).exact is False
     failed = [name for name, ok, _ in _verify_checks(data, 3, 0) if not ok]
     assert "kernel vs torsion routes at m=2" in failed
+    assert "r1 stabilization" in failed
+    # a diagonal that loses the p-part must be caught by the r1 check too
+    object.__setattr__(data, "smith", SnfResult(one, one, one))
+    failed = [name for name, ok, _ in _verify_checks(data, 3, 0) if not ok]
+    assert "r1 stabilization" in failed
 
 
 def test_route_disagreement_in_r1_and_les(monkeypatch):
