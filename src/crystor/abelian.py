@@ -4,9 +4,11 @@ Everything in this module is exact: matrices hold arbitrary-precision
 Python integers and finite abelian groups are kept in invariant-factor
 form d_1 | d_2 | ... | d_k with every d_i >= 2 (the trivial group is the
 empty list).  The workhorses are Smith normal form with its unimodular
-transforms and a row-style Hermite normal form; on top of them sit
-kernels, cokernels, torsion and primary parts, exactness tests, and an
-exhaustive subgroup enumerator.
+transforms (over Z or Z/n), its diagonal alone by elimination modulo
+the determinant, the Smith form over the local ring Z/p^k, and a
+row-style Hermite normal form; on top of them sit kernels, cokernels,
+torsion and primary parts, exactness tests, and an exhaustive subgroup
+enumerator.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]))
 >>> snf.D.as_rows()
@@ -184,12 +186,16 @@ class SnfResult:
         return tuple(self.D.entry(i, i) for i in range(k))
 
 
-def smith_normal_form(m: IntMatrix) -> SnfResult:
+def smith_normal_form(m: IntMatrix, modulus: int | None = None) -> SnfResult:
     """Smith normal form with transforms.
 
     Pivoting rule: at each stage the pivot is the nonzero entry of the
     working submatrix with smallest absolute value, ties broken by
     row-major position.  The output is therefore deterministic.
+
+    With a ``modulus`` n every entry, of the transforms too, is kept
+    reduced into [0, n): the result is a Smith form over Z/n, with
+    U * M * V = D modulo n, and no entry outgrows n.
 
     >>> r = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 4]]))
     >>> r.diagonal()
@@ -204,6 +210,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     a = [list(m.row(i)) for i in range(nr)]
     u = diagonal_rows((1,) * nr)
     v = diagonal_rows((1,) * nc)
+    if modulus:
+        a = [[x % modulus for x in row] for row in a]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -219,12 +227,20 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
         # row dst += q * row src
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+        if modulus:
+            a[dst] = [x % modulus for x in a[dst]]
+            u[dst] = [x % modulus for x in u[dst]]
 
     def add_col(dst, src, q):
         for row in a:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        if modulus:
+            for row in a:
+                row[dst] %= modulus
+            for row in v:
+                row[dst] %= modulus
 
     for k in range(min(nr, nc)):
         # pick pivot: smallest |entry| != 0, row-major ties
@@ -287,6 +303,199 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return SnfResult(
         IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
     )
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
+def invariant_factors_mod_det(m: IntMatrix, det: int) -> tuple[int, ...]:
+    """Invariant factors d_1 | ... | d_t of a nonsingular t x t matrix
+    with |det m| = ``det``, by diagonal-only elimination modulo R.
+
+    The column span of m contains det * Z^t, so its cokernel is presented
+    by m over Z/det.  Once a pivot has cleared its row and column and
+    its gcd d with R divides the rest, the cokernel splits off Z/d and
+    the remainder, of order R / d, is presented over Z/(R / d)
+    (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 2.4.14; Domich, Kannan and Trotter 1987).  Entries stay below
+    R and no transform is built.  The last factor is a gcd with R like
+    the others, so the product of the factors equals ``det`` only when
+    ``det`` is |det m|.
+
+    >>> invariant_factors_mod_det(IntMatrix.from_rows([[2, 1], [1, 2]]), 3)
+    (1, 3)
+    >>> invariant_factors_mod_det(IntMatrix.from_rows([[6, 0], [0, 4]]), 24)
+    (2, 12)
+    """
+    t = m.rows
+    r = det
+    a = [[x % r for x in m.row(i)] for i in range(t)]
+    factors = []
+    for k in range(t):
+        while True:
+            _clear_cross(a, k, r)
+            d = gcd(a[k][k], r)
+            offender = next(
+                (i for i in range(k + 1, t) if any(x % d for x in a[i][k + 1:])),
+                None,
+            )
+            if offender is None:
+                break
+            # the offending row brings an entry the pivot does not divide
+            a[k] = [(x + y) % r for x, y in zip(a[k], a[offender])]
+        factors.append(d)
+        r //= d
+        for i in range(k + 1, t):
+            a[i] = [x % r for x in a[i]]
+    return tuple(factors)
+
+
+def _clear_cross(a, k: int, r: int) -> None:
+    """Zero row k and column k of ``a`` off the pivot, modulo r, by
+    unimodular 2 x 2 column and row steps; rows and columns before k
+    are already clear."""
+    t = len(a)
+    while True:
+        for j in range(k + 1, t):
+            b, piv = a[k][j], a[k][k]
+            if not b:
+                continue
+            if piv and b % piv == 0:
+                q = b // piv
+                for row in a[k:]:
+                    row[j] = (row[j] - q * row[k]) % r
+                continue
+            g, u, v = _xgcd(piv, b)
+            x, y = piv // g, b // g
+            for row in a[k:]:
+                c0, c1 = row[k], row[j]
+                row[k] = (u * c0 + v * c1) % r
+                row[j] = (x * c1 - y * c0) % r
+        row_dirty = False
+        for i in range(k + 1, t):
+            b, piv = a[i][k], a[k][k]
+            if not b:
+                continue
+            if piv and b % piv == 0:
+                q = b // piv
+                a[i] = [(x - q * y) % r for x, y in zip(a[i], a[k])]
+                continue
+            g, u, v = _xgcd(piv, b)
+            x, y = piv // g, b // g
+            top, low = a[k], a[i]
+            a[k] = [(u * c0 + v * c1) % r for c0, c1 in zip(top, low)]
+            a[i] = [(x * c1 - y * c0) % r for c0, c1 in zip(top, low)]
+            row_dirty = True
+        if not row_dirty:
+            return
+
+
+# ---------------------------------------------------------------------------
+# Smith form over the local ring Z/p^k
+
+
+@dataclass(frozen=True)
+class LocalSmith:
+    """Smith form of a square integer matrix M over Z/p^k.
+
+    U M V = diag(p^{v_1}, ..., p^{v_t}) modulo p^k with U and V
+    invertible modulo p^k and v_1 <= ... <= v_t; a valuation of k marks
+    a column that vanishes modulo p^k.  ``columns`` holds the columns of
+    V modulo p^k.
+    """
+
+    p: int
+    k: int
+    valuations: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
+
+    def kernel(self, m: int) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
+        """Kernel of M on (Z/p^m)^t with aligned generators, as
+        kernel_mod_n gives it: p^(m - e_i) V_i mod p^m has order
+        p^{e_i}, e_i = min(v_i, m).  That reads V_i only modulo
+        p^{e_i}, so every level is exact when each v_i < k.
+
+        >>> loc = local_smith(IntMatrix.from_rows([[2, 0], [0, 4]]), 2, 3)
+        >>> loc.valuations
+        (1, 2)
+        >>> g, gens = loc.kernel(2)
+        >>> str(g), gens
+        ('Z/2 ⊕ Z/4', ((2, 0), (0, 1)))
+        """
+        p = self.p
+        n = p**m
+        orders = []
+        gens = []
+        for v, col in zip(self.valuations, self.columns):
+            e = min(v, m)
+            if e == 0:
+                continue
+            scale = p ** (m - e)
+            gens.append(tuple(scale * x % n for x in col))
+            orders.append(p**e)
+        return FinAbGroup(tuple(orders)), tuple(gens)
+
+
+def local_smith(m: IntMatrix, p: int, k: int) -> LocalSmith:
+    """Smith form of the square matrix m over Z/p^k.
+
+    Each stage pivots on an entry of least p-adic valuation in the
+    remaining block (row-major ties) and scales the pivot row by the
+    inverse of the pivot's unit part, so the pivot is p^v and divides
+    the whole block.  Only the column transform V is kept.
+    """
+    if m.rows != m.cols or m.rows == 0:
+        raise ShapeMismatch("local Smith form needs a non-empty square matrix")
+    q = p**k
+    t = m.rows
+    a = [[x % q for x in m.row(i)] for i in range(t)]
+    v_cols = diagonal_rows((1,) * t)  # v_cols[j] is column j of V
+    valuations = []
+    for s in range(t):
+        best = None
+        for i in range(s, t):
+            for j in range(s, t):
+                x = a[i][j]
+                if x:
+                    e = p_valuation(x, p)
+                    if best is None or e < best[0]:
+                        best = (e, i, j)
+                        if e == 0:
+                            break
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            valuations += [k] * (t - s)
+            break
+        e, i, j = best
+        a[s], a[i] = a[i], a[s]
+        if j != s:
+            for row in a:
+                row[s], row[j] = row[j], row[s]
+            v_cols[s], v_cols[j] = v_cols[j], v_cols[s]
+        pe = p**e
+        inv = pow(a[s][s] // pe, -1, q)
+        pivot_row = a[s] = [x * inv % q for x in a[s]]
+        for i in range(s + 1, t):
+            c = a[i][s] // pe
+            if c:
+                a[i] = [(x - c * y) % q for x, y in zip(a[i], pivot_row)]
+        # column s is clear below the pivot, so clearing row s by column
+        # steps changes only V
+        v_s = v_cols[s]
+        for j in range(s + 1, t):
+            c = pivot_row[j] // pe
+            if c:
+                v_cols[j] = [(x - c * y) % q for x, y in zip(v_cols[j], v_s)]
+        valuations.append(e)
+    return LocalSmith(p, k, tuple(valuations), tuple(tuple(c) for c in v_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +634,14 @@ def _chain_normalize(orders) -> tuple[int, ...]:
     return tuple(ds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FinAbGroup:
     """A finite abelian group by its invariant factors d_1 | d_2 | ... | d_k.
 
     The factors are each >= 2 and the trivial group is the empty tuple,
-    so equality of values is equality of isomorphism classes.
+    so equality of values is equality of isomorphism classes.  Instances
+    are immutable and slotted; trivial() and of_orders() hand out one
+    shared trivial group.
 
     >>> FinAbGroup.of_orders([4, 2, 6])
     FinAbGroup(invariant_factors=(2, 2, 12))
@@ -449,16 +660,17 @@ class FinAbGroup:
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":
-        return cls(())
+        return _TRIVIAL
 
     @classmethod
     def cyclic(cls, n: int) -> "FinAbGroup":
-        return cls((n,)) if n > 1 else cls(())
+        return cls((n,)) if n > 1 else _TRIVIAL
 
     @classmethod
     def of_orders(cls, orders) -> "FinAbGroup":
         """The direct sum of cyclic groups of the given orders."""
-        return cls(_chain_normalize(orders))
+        factors = _chain_normalize(orders)
+        return cls(factors) if factors else _TRIVIAL
 
     @property
     def order(self) -> int:
@@ -481,6 +693,9 @@ class FinAbGroup:
         if not self.invariant_factors:
             return "trivial"
         return " ⊕ ".join(f"Z/{d}" for d in self.invariant_factors)
+
+
+_TRIVIAL = FinAbGroup(())
 
 
 def n_torsion(g: FinAbGroup, n: int) -> FinAbGroup:
@@ -544,9 +759,10 @@ def cokernel(m: IntMatrix) -> FinAbGroup:
 def kernel_mod_n(m: IntMatrix, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
     """Kernel of multiplication by m on (Z/n)^cols, with aligned generators.
 
-    With U M V = D it is spanned by (n / gcd(d_j, n)) times the columns
-    of V, so the i-th returned generator has order exactly the i-th
-    invariant factor of the returned group.
+    From the Smith form over Z/n, U M V = D modulo n, it is spanned by
+    (n / gcd(d_j, n)) times the columns of V, so the i-th returned
+    generator has order exactly the i-th invariant factor of the
+    returned group.
 
     >>> g, gens = kernel_mod_n(IntMatrix.from_rows([[2, 0], [0, 4]]), 4)
     >>> str(g), gens
@@ -554,7 +770,7 @@ def kernel_mod_n(m: IntMatrix, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...
     """
     if n < 2:
         raise BadModulus("kernel mod n needs n >= 2")
-    snf = smith_normal_form(m)
+    snf = smith_normal_form(m, modulus=n)
     diag = list(snf.diagonal())
     diag += [0] * (m.cols - len(diag))
     orders = []
@@ -719,7 +935,7 @@ def is_exact(f: GroupHom, g: GroupHom) -> bool:
 # Subgroups of (Z/n)^t are lattices L with n Z^t ⊆ L ⊆ Z^t, walked in
 # canonical HNF form: a basis row (d, tail) with pivot d | n extends a
 # lower-dimensional lattice Λ exactly when (n/d)·tail ∈ Λ, and reducing
-# the tail into Λ's fundamental region makes the walk hit每 each subgroup
+# the tail into Λ's fundamental region makes the walk hit each subgroup
 # exactly once.
 
 

@@ -576,11 +576,14 @@ def _verify_checks(data: DegenerationData, max_m: int,
             add(f"level reduction m={m}->{m - 1}",
                 tors.ext.reduce_to(p ** (m - 1))
                 == torsion_module(data, m - 1).ext)
+        # three routes: the generic Smith form of mu mod p^m, the local
+        # Smith form of mu and the invariant factors of mu
         kernel_route = kernel_mod_n(mu.mod(n), n)[0]
+        local_route = data.local.kernel(m)[0]
         torsion_route = n_torsion(coker, n)
         add(f"kernel vs torsion routes at m={m}",
-            kernel_route == torsion_route,
-            f"{kernel_route} vs {torsion_route}")
+            kernel_route == local_route == torsion_route,
+            f"{kernel_route} vs {local_route} vs {torsion_route}")
         quotient, agrees = phi_formula_check(data, m)
         add(f"component formula at m={m}", agrees,
             f"quotient {quotient}")

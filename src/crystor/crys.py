@@ -7,20 +7,24 @@ coordinates) followed by y_1..y_t (etale lifts).  The maximal
 kernel of the monodromy pairing mod p^m, and the quotient by the x-span
 recovers the p^m-torsion of the component group.
 
-The maximal submodule is read straight off the kernel of mu mod p^m,
-one Smith form of the reduced matrix per level; no Kummer or extension
-class is built on the way (pushout.star_pullback is the same kernel
-dressed as a category object).  The component group and all of its
-p^m-torsion levels are read off a second decomposition, the Smith form
-of mu itself, cached on the degeneration data (``data.smith``).
+Each input gets two decompositions of mu, cached on the degeneration
+data and computed independently of each other:
+
+- ``data.local``, the Smith form of mu over Z/p^k, k = v_p(det mu) + 1.
+  Every level's maximal submodule is read off it in O(t^2): the kernel
+  of mu mod p^m is spanned by p^(m - min(v_i, m)) V_i.  No Kummer or
+  extension class is built on the way (pushout.star_pullback is the
+  same kernel dressed as a category object).
+- ``data.invariants``, the invariant factors of mu by elimination
+  modulo det mu.  The component group and all of its p^m-torsion levels
+  are read off them.
 
 The checks compare deliberately independent routes: the crys1 quotient
-by the toric part (the Smith form of mu mod p^m) against the
-component-group torsion (the Smith form of mu) in phi_formula_check and
-at every level of les_report, the crys1 route against brute-force
-evaluation of mu on every etale vector in oracle_crys1, and the
-stabilized finite-level chain against the p-primary part for the
-derived-functor torsion.
+by the toric part (the local Smith form) against the component-group
+torsion (the invariant factors) in phi_formula_check and at every level
+of les_report, the crys1 route against brute-force evaluation of mu on
+every etale vector in oracle_crys1, and the stabilized finite-level
+chain against the p-primary part for the derived-functor torsion.
 Disagreement between routes is a bug, never tolerance: it raises
 RouteDisagreement or is reported as a failed check.
 """
@@ -28,12 +32,12 @@ RouteDisagreement or is reported as a failed check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .abelian import (
     FinAbGroup,
     diagonal_rows,
     hnf_rows,
-    kernel_mod_n,
     lattice_contains,
     n_torsion,
     p_primary_part,
@@ -47,7 +51,7 @@ from .degen import DegenerationData, level_modulus
 from .errors import BadInput, NotStabilized, RouteDisagreement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crys1Report:
     """Generators and structure of the maximal 1-crystalline submodule.
 
@@ -89,11 +93,13 @@ def _y_lift(t: int, vec, n: int) -> tuple[int, ...]:
 
 def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
     """Maximal 1-crystalline submodule of the p^m-torsion: the x-span
-    plus the lifts of the kernel of the monodromy mu mod p^m."""
+    plus the lifts of the kernel of the monodromy mu mod p^m, read off
+    the local Smith form of mu; y-generators come in increasing order,
+    ties by column of V."""
     data.validate()
     n = level_modulus(data.p, m)
     t = data.t
-    ker, ys = kernel_mod_n(data.mu.mod(n), n)
+    ker, ys = data.local.kernel(m)
     gens = tuple(_x_lift(t, i) for i in range(t)) + tuple(
         _y_lift(t, g, n) for g in ys
     )
@@ -191,26 +197,31 @@ def _type_by_torsion_count(elements, n: int, p: int, m: int, t: int) -> tuple[in
 
 
 def component_group(data: DegenerationData) -> FinAbGroup:
-    """Cokernel of the monodromy pairing, read off the cached Smith form;
-    a validated mu is positive definite, so no invariant factor is 0."""
+    """Cokernel of the monodromy pairing, read off the cached invariant
+    factors of mu; a validated mu is positive definite, so none is 0."""
     data.validate()
-    return FinAbGroup.of_orders(data.smith.diagonal())
+    return FinAbGroup.of_orders(data.invariants)
 
 
 def phi_n(data: DegenerationData, m: int) -> FinAbGroup:
-    """p^m-torsion of the component group, read off the cached Smith
-    form of mu."""
+    """p^m-torsion of the component group, read off the cached invariant
+    factors of mu."""
     data.validate()
     n = level_modulus(data.p, m)
     return n_torsion(component_group(data), n)
 
 
 def _toric_quotient(rep: Crys1Report) -> FinAbGroup:
-    """The maximal submodule modulo its toric part: the quotient of its
-    lattice by the x-span plus n times the y-basis."""
+    """The maximal submodule modulo its toric part.
+
+    The x-span is a direct summand of the submodule's lattice, so the
+    quotient is the y-part lattice modulo n Z^t: the subgroup of
+    (Z/n)^t spanned by the y-parts of the generators.
+    """
     t = rep.t
-    sub_rows = diagonal_rows((1,) * t + (rep.n,) * t)
-    return FinAbGroup.of_orders(quotient_orders(rep.lattice(), sub_rows, 2 * t))
+    n_rows = diagonal_rows((rep.n,) * t)
+    y_basis = hnf_rows([list(g[t:]) for g in rep.generators] + n_rows, t)
+    return FinAbGroup.of_orders(quotient_orders(y_basis, n_rows, t))
 
 
 def phi_formula_check(data: DegenerationData, m: int) -> tuple[FinAbGroup, bool]:
@@ -257,7 +268,7 @@ def r1crys1_tors(data: DegenerationData, cap: int = 12) -> FinAbGroup:
 # Tate module
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TateReport:
     """Free part of the maximal 1-crystalline submodule of the Tate
     module, plus the finite-level compatibility evidence."""
@@ -302,7 +313,7 @@ def crys1_tate_module(data: DegenerationData, levels: int | None = None) -> Tate
 # the long exact sequence at finite level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelExactness:
     """Exactness evidence for 0 -> (Z/p^m)^t -> Crys1 -> Phi[p^m] -> 0.
 
@@ -319,7 +330,14 @@ class LevelExactness:
         return self.orders_match and self.surjective
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=256)
+def _level_exactness(m: int, orders_match: bool, surjective: bool) -> LevelExactness:
+    # a few values recur across inputs, and a caller that keeps many
+    # reports then holds one shared instance of each
+    return LevelExactness(m, orders_match, surjective)
+
+
+@dataclass(frozen=True, slots=True)
 class LesReport:
     """Finite-level truncation of the long exact sequence of the
     maximal-submodule functor on the Tate module."""
@@ -348,10 +366,10 @@ def les_report(data: DegenerationData, cap: int = 12) -> LesReport:
     for m in range(1, min(stab_level + 1, cap) + 1):
         rep = crys1_torsion(data, m)
         phi_m = phi_n(data, m)
-        levels.append(LevelExactness(
+        levels.append(_level_exactness(
             m,
-            orders_match=rep.group.order == rep.n**t * phi_m.order,
-            surjective=_toric_quotient(rep) == phi_m,
+            rep.group.order == rep.n**t * phi_m.order,
+            _toric_quotient(rep) == phi_m,
         ))
 
     exact = all(l.ok() for l in levels) and stable == r1

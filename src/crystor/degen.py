@@ -17,14 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from .abelian import (
     FinAbGroup,
     GroupHom,
     IntMatrix,
-    SnfResult,
+    LocalSmith,
+    invariant_factors_mod_det,
+    local_smith,
+    p_valuation,
     require_prime,
-    smith_normal_form,
 )
 from .errors import (
     BadInput,
@@ -32,6 +35,7 @@ from .errors import (
     NotPositiveDefinite,
     NotPrime,
     NotSymmetric,
+    RouteDisagreement,
     ShapeMismatch,
 )
 from .kummer import ExtClass, KummerClass, baer_sum
@@ -45,15 +49,49 @@ def default_unit_symbols(t: int) -> tuple[tuple[str, ...], ...]:
     )
 
 
+def leading_minors(mu: IntMatrix):
+    """The leading principal minors of the square matrix mu, in order,
+    from one fraction-free (Bareiss) elimination without pivoting: the
+    k-th pivot is the order-k minor.  Stops after the first minor that
+    is not positive, where elimination without pivoting cannot go on.
+
+    >>> list(leading_minors(IntMatrix.from_rows([[2, 1], [1, 2]])))
+    [2, 3]
+    >>> list(leading_minors(IntMatrix.from_rows([[1, 2, 0], [2, 1, 0], [0, 0, 1]])))
+    [1, -3]
+    """
+    t = mu.rows
+    a = [list(mu.row(i)) for i in range(t)]
+    prev = 1
+    for k in range(t):
+        minor = a[k][k]
+        yield minor
+        if minor <= 0:
+            return
+        for i in range(k + 1, t):
+            row, lead = a[i], a[i][k]
+            for j in range(k + 1, t):
+                row[j] = (row[j] * minor - lead * a[k][j]) // prev
+        prev = minor
+
+
 @dataclass(frozen=True)
 class DegenerationData:
     """Construction never validates; call validate() before computing.
 
-    The instance validates once: a passing validate() is remembered, a
-    failing one raises again on every call.  ``smith`` caches the Smith
-    form of ``mu``, from which the component group and every level of
-    its p-power torsion are read.  Neither cache takes part in equality
-    or hashing, which see the fields only.
+    The instance validates once: a passing validate() is remembered,
+    with det mu as its last leading minor, and a failing one raises
+    again on every call.  Two independent decompositions of ``mu`` are
+    cached on first use:
+
+    - ``invariants``, its invariant factors by elimination modulo
+      det mu, from which the component group and every level of its
+      p-power torsion are read;
+    - ``local``, its Smith form over Z/p^k, from which every level of
+      the maximal 1-crystalline submodule is read.
+
+    No cache takes part in equality or hashing, which see the fields
+    only.
     """
 
     p: int
@@ -70,10 +108,11 @@ class DegenerationData:
         return self.unit_symbols[i][j]
 
     def validate(self) -> None:
-        self._validated
+        self.determinant
 
     @cached_property
-    def _validated(self) -> bool:
+    def determinant(self) -> int:
+        """det mu, the last leading minor; validates on first use."""
         # cached_property stores only a returned value, so an instance
         # that fails its checks runs them, and raises, on every call
         try:
@@ -84,22 +123,36 @@ class DegenerationData:
             raise BadInput("mu must have at least one row (toric rank >= 1)")
         if self.mu.rows != self.mu.cols or not self.mu.is_symmetric():
             raise NotSymmetric("mu must be a symmetric square matrix")
-        for k in range(1, self.t + 1):
-            minor = IntMatrix.from_rows(
-                [self.mu.row(i)[:k] for i in range(k)]
-            ).det()
+        for k, minor in enumerate(leading_minors(self.mu), 1):
             if minor <= 0:
                 raise NotPositiveDefinite(k, minor)
         if self.unit_symbols is not None:
             rows = self.unit_symbols
             if len(rows) != self.t or any(len(r) != self.t for r in rows):
                 raise ShapeMismatch("units must form a t x t symbol grid")
-        return True
+        return minor  # the order-t minor
 
     @cached_property
-    def smith(self) -> SnfResult:
-        """Smith normal form of mu, computed on first use."""
-        return smith_normal_form(self.mu)
+    def invariants(self) -> tuple[int, ...]:
+        """Invariant factors d_1 | ... | d_t of mu, by elimination modulo
+        det mu; raises RouteDisagreement unless they multiply to det mu."""
+        det = self.determinant
+        factors = invariant_factors_mod_det(self.mu, det)
+        if prod(factors) != det:
+            raise RouteDisagreement(
+                "invariant factors of mu do not multiply to det mu",
+                prod(factors), det)
+        return factors
+
+    @cached_property
+    def local(self) -> LocalSmith:
+        """Smith form of mu over Z/p^k with k = v_p(det mu) + 1.
+
+        Every valuation is at most v_p(det mu), so all of them are exact
+        and the precision needs nothing from ``invariants``.
+        """
+        k = p_valuation(self.determinant, self.p) + 1
+        return local_smith(self.mu, self.p, k)
 
 
 @dataclass(frozen=True)

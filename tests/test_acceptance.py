@@ -96,8 +96,10 @@ def test_criterion_2_kernel_vs_torsion(capsys, matrix_corpus):
     ok = len(matrix_corpus) >= 200
     for data in matrix_corpus:
         coker = component_group(data)
-        for _, n in _levels(data.p):
-            if kernel_mod_n(data.mu.mod(n), n)[0] != n_torsion(coker, n):
+        for m, n in _levels(data.p):
+            kernel_route = kernel_mod_n(data.mu.mod(n), n)[0]
+            local_route = data.local.kernel(m)[0]
+            if not kernel_route == local_route == n_torsion(coker, n):
                 ok = False
             checked += 1
     _emit(capsys, 2, f"kernel vs torsion routes, {checked} checks on "

@@ -258,6 +258,18 @@ def test_route_disagreement_exit_two(capsys, monkeypatch):
     assert err.startswith("error: RouteDisagreement:")
 
 
+def test_invariant_product_disagreement_exit_two(capsys, monkeypatch):
+    import crystor.degen
+
+    monkeypatch.setattr(crystor.degen, "invariant_factors_mod_det",
+                        lambda mu, det: (1,) * mu.rows)
+    code, out, err = run_main(
+        capsys, ["component-group", str(CORPUS / "tate_v05_p5.txt")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: RouteDisagreement: invariant factors of mu")
+
+
 ROUTE_CHECK_UNDER_O = """
 import sys
 assert False, "asserts are live"

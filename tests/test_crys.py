@@ -261,15 +261,24 @@ def snf_calls(monkeypatch):
     return record_calls(monkeypatch, crystor.abelian.smith_normal_form)
 
 
-def test_one_smith_form_of_mu_per_input(snf_calls):
+def test_one_smith_form_of_mu_per_input(snf_calls, monkeypatch):
     # the negative entries keep every mu mod p^m different from mu
+    import crystor.abelian
+
+    locals_ = record_calls(monkeypatch, crystor.abelian.local_smith)
+    invariants = record_calls(monkeypatch, crystor.abelian.invariant_factors_mod_det)
     data = data_of(3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]])
     assert component_group(data) == FinAbGroup.cyclic(396)
     assert r1crys1_tors(data, cap=40) == FinAbGroup.cyclic(9)
     rep = les_report(data, cap=40)
     assert rep.exact and rep.stabilized_at == 2
-    assert sum(1 for m in snf_calls if m == data.mu) == 1
-    assert len(snf_calls) > 1  # the crys1 route keeps its own Smith forms
+    assert crys1_tate_module(data).reduction_compatible
+    assert phi_formula_check(data, 3)[1]
+    # no integer Smith form of mu or of any mu mod p^m
+    reductions = {data.mu} | {data.mu.mod(3**m) for m in range(1, 41)}
+    assert not any(m in reductions for m in snf_calls)
+    # one decomposition of each kind for the whole input
+    assert locals_ == [data.mu] and invariants == [data.mu]
 
 
 def test_no_kummer_objects_on_the_crys1_path(monkeypatch):
@@ -285,24 +294,59 @@ def test_no_kummer_objects_on_the_crys1_path(monkeypatch):
 
 
 def test_smith_form_fault_fails_the_level_checks():
-    # a wrong cached Smith form of mu = [[5]] (D = [25]) must be caught
-    # by every check that sets it against the kernel of mu mod p^m
-    from crystor.abelian import SnfResult
+    # wrong cached invariant factors of mu = [[5]] (D = [25]) must be
+    # caught by every check that sets them against the kernel of mu mod p^m
     from crystor.cli import _verify_checks
 
     data = data_of(5, [[5]])
-    one = IntMatrix.from_rows([[1]])
-    object.__setattr__(data, "smith",
-                       SnfResult(one, IntMatrix.from_rows([[25]]), one))
+    object.__setattr__(data, "invariants", (25,))
     assert phi_formula_check(data, 2)[1] is False
     assert les_report(data).exact is False
     failed = [name for name, ok, _ in _verify_checks(data, 3, 0) if not ok]
     assert "kernel vs torsion routes at m=2" in failed
     assert "r1 stabilization" in failed
     # a diagonal that loses the p-part must be caught by the r1 check too
-    object.__setattr__(data, "smith", SnfResult(one, one, one))
+    object.__setattr__(data, "invariants", (1,))
     failed = [name for name, ok, _ in _verify_checks(data, 3, 0) if not ok]
     assert "r1 stabilization" in failed
+
+
+def test_local_smith_fault_fails_the_level_checks():
+    # a local Smith form of mu = [[5]] with every valuation one too high
+    # must be caught wherever the crys1 route meets the invariant factors
+    from dataclasses import replace
+
+    from crystor.cli import _verify_checks
+
+    data = data_of(5, [[5]])
+    good = data.local
+    assert good.valuations == (1,)
+    object.__setattr__(data, "local",
+                       replace(good, valuations=tuple(v + 1 for v in good.valuations)))
+    assert phi_formula_check(data, 2)[1] is False
+    assert les_report(data).exact is False
+    failed = [name for name, ok, _ in _verify_checks(data, 3, 0) if not ok]
+    assert "kernel vs torsion routes at m=2" in failed
+
+
+def test_invariant_product_must_be_the_determinant(monkeypatch):
+    import crystor.degen
+
+    data = data_of(3, [[2, 1], [1, 2]])
+    assert data.invariants == (1, 3)
+    monkeypatch.setattr(crystor.degen, "invariant_factors_mod_det",
+                        lambda mu, det: (1, 1))
+    with pytest.raises(RouteDisagreement) as exc:
+        component_group(data_of(3, [[2, 1], [1, 2]]))
+    assert (exc.value.first, exc.value.second) == (1, 3)
+    monkeypatch.undo()
+    # a wrong determinant fails the same product: elimination modulo 10
+    # finds Z/5 for mu = [[5]]
+    data = data_of(5, [[5]])
+    object.__setattr__(data, "determinant", 10)
+    with pytest.raises(RouteDisagreement) as exc:
+        data.invariants
+    assert (exc.value.first, exc.value.second) == (5, 10)
 
 
 def test_route_disagreement_in_r1_and_les(monkeypatch):

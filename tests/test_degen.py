@@ -8,6 +8,7 @@ from crystor.abelian import IntMatrix
 from crystor.degen import (
     DegenerationData,
     default_unit_symbols,
+    leading_minors,
     monodromy_map,
     raynaud_decompose,
     recombine,
@@ -81,20 +82,65 @@ def test_validate_runs_its_checks_once(monkeypatch):
     import crystor.degen
 
     dets = []
+    passes = []
     primes = []
     real_det = IntMatrix.det
+    real_minors = crystor.degen.leading_minors
     real_prime = crystor.degen.require_prime
     monkeypatch.setattr(IntMatrix, "det", lambda m: dets.append(m) or real_det(m))
+    monkeypatch.setattr(crystor.degen, "leading_minors",
+                        lambda m: passes.append(m) or real_minors(m))
     monkeypatch.setattr(crystor.degen, "require_prime",
                         lambda p: primes.append(p) or real_prime(p))
     data = data_of(3, [[4, 1, 0], [1, 4, 1], [0, 1, 4]])
     for _ in range(3):
         data.validate()
-    assert len(dets) == 3  # one Bareiss leading minor per k = 1..t
+    assert len(passes) == 1  # one Bareiss pass yields every leading minor
+    assert dets == []
     assert primes == [3]
+    assert data.determinant == 56
     # a fresh equal instance validates afresh
     data_of(3, [[4, 1, 0], [1, 4, 1], [0, 1, 4]]).validate()
-    assert len(dets) == 6
+    assert len(passes) == 2
+
+
+def _minors_by_det(rows):
+    """Leading minors by one det() per order, up to the first that is
+    not positive."""
+    out = []
+    for k in range(1, len(rows) + 1):
+        out.append(IntMatrix.from_rows([r[:k] for r in rows[:k]]).det())
+        if out[-1] <= 0:
+            break
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda t: st.lists(st.integers(-6, 6), min_size=t * t, max_size=t * t)
+    .map(lambda xs: (t, xs))))
+def test_leading_minors_match_determinants(shape):
+    # symmetric draws: indefinite ones, zero leading minors and,
+    # through the diagonal shift, positive-definite ones
+    t, xs = shape
+    rows = [[0] * t for _ in range(t)]
+    for i in range(t):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = xs[i * t + j]
+    for shift in (0, 40):
+        shifted = [[x + (shift if i == j else 0) for j, x in enumerate(r)]
+                   for i, r in enumerate(rows)]
+        assert list(leading_minors(IntMatrix.from_rows(shifted))) \
+            == _minors_by_det(shifted)
+
+
+def test_leading_minors_stop_at_a_zero_minor():
+    assert list(leading_minors(IntMatrix.from_rows([[0, 1], [1, 0]]))) == [0]
+    assert list(leading_minors(IntMatrix.from_rows(
+        [[1, 1, 0], [1, 1, 0], [0, 0, 1]]))) == [1, 0]
+    with pytest.raises(NotPositiveDefinite) as exc:
+        data_of(3, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]).validate()
+    assert (exc.value.minor_index, exc.value.minor_value) == (2, 0)
 
 
 def test_invalid_instance_raises_on_every_call():
@@ -107,11 +153,13 @@ def test_invalid_instance_raises_on_every_call():
             asymmetric.validate()
 
 
-def test_smith_form_is_cached_outside_equality():
+def test_decompositions_are_cached_outside_equality():
     data = data_of(3, [[2, 1], [1, 2]])
     twin = data_of(3, [[2, 1], [1, 2]])
-    assert data.smith is data.smith
-    assert data.smith.diagonal() == (1, 3)
+    assert data.invariants is data.invariants
+    assert data.invariants == (1, 3)
+    assert data.local is data.local
+    assert data.local.valuations == (0, 1)
     data.validate()
     assert data == twin and hash(data) == hash(twin)
     assert repr(data) == repr(twin)
