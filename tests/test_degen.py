@@ -153,7 +153,7 @@ def test_invalid_instance_raises_on_every_call():
             asymmetric.validate()
 
 
-def test_decompositions_are_cached_outside_equality():
+def test_smith_form_is_cached_outside_equality():
     data = data_of(3, [[2, 1], [1, 2]])
     twin = data_of(3, [[2, 1], [1, 2]])
     assert data.invariants is data.invariants
