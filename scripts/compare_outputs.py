@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Compare the command line's output with another checkout's.
+
+    python scripts/compare_outputs.py OTHER_TREE
+
+Runs one fixed list of ``crystor`` argument lists twice: against this
+tree's ``src/`` and against ``OTHER_TREE/src``, with one child
+interpreter each that calls ``crystor.cli.main`` in-process per run.
+Both children work in this tree's root, so the corpus paths, and any
+error message naming them, are the same.  The list covers every
+subcommand over ``corpus/`` at m = 1..3, ``crys1 --oracle``, r1 and
+les at caps 1, 2, 12 and 20 and at their default, ``verify --max-m
+1..3 --seed 7``, 18 tate cases and a set of error cases, each with and
+without ``--json``.
+
+Prints the number of runs and every run whose stdout, stderr or exit
+code differ, and exits 1 if any do.  Stdlib only.
+"""
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TATE_CASES = [
+    (1, 2, 1), (1, 5, 2), (2, 2, 1), (2, 2, 3), (3, 3, 1), (3, 3, 2),
+    (4, 2, 2), (4, 2, 3), (5, 5, 1), (5, 5, 2), (6, 2, 2), (6, 3, 2),
+    (8, 2, 4), (9, 3, 2), (9, 3, 3), (12, 2, 3), (25, 5, 3), (27, 3, 2),
+]
+
+
+def argument_lists() -> list[tuple[list[str], dict]]:
+    """(argv, environment overrides) for every run, without --json."""
+    runs = []
+    for path in sorted((ROOT / "corpus").glob("*.txt")):
+        f = f"corpus/{path.name}"
+        runs.append((["component-group", f], {}))
+        runs.append((["component-group", f, "--p-part"], {}))
+        for m in ("1", "2", "3"):
+            for sub in ("torsion", "crys1", "phi-check"):
+                runs.append(([sub, f, "--m", m], {}))
+            runs.append((["crys1", f, "--m", m, "--oracle"], {}))
+            runs.append((["verify", f, "--max-m", m, "--seed", "7"], {}))
+        for sub in ("r1", "les"):
+            runs.append(([sub, f], {}))
+            for cap in ("1", "2", "12", "20"):
+                runs.append(([sub, f, "--cap", cap], {}))
+    for v, p, m in TATE_CASES:
+        runs.append((["tate", "--v", str(v), "--p", str(p), "--m", str(m)], {}))
+    ident = "corpus/t2_identity_p3.txt"
+    runs += [
+        (["r1", ident, "--cap", "0"], {}),
+        (["r1", ident, "--cap", "-5"], {}),
+        (["les", ident, "--cap", "0"], {}),
+        (["les", ident, "--cap", "-5"], {}),
+        (["crys1", ident, "--m", "0"], {}),
+        (["torsion", ident, "--m", "-1"], {}),
+        (["r1", "corpus/no_such_file.txt"], {}),
+        (["tate", "--v", "0", "--p", "5", "--m", "1"], {}),
+        (["tate", "--v", "5", "--p", "4", "--m", "1"], {}),
+        (["crys1", ident, "--m", "2", "--oracle"], {"CRYSTOR_ENUM_BUDGET": "10"}),
+        (["crys1", ident, "--m", "1", "--oracle"], {"CRYSTOR_ENUM_BUDGET": "abc"}),
+        (["component-group"], {}),
+    ]
+    return runs
+
+
+def child(src: str) -> int:
+    """Run every argument list read from stdin; write the results to stdout."""
+    sys.path.insert(0, src)
+    import crystor.cli
+
+    if not Path(crystor.cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"imported crystor from {crystor.cli.__file__}, not {src}")
+    results = []
+    for argv, env in json.load(sys.stdin):
+        saved = {k: os.environ.get(k) for k in env}
+        os.environ.update(env)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = crystor.cli.main(argv)
+        except Exception as e:  # the command line would show a traceback
+            err.write(f"uncaught {type(e).__name__}: {e}\n")
+            code = 1
+        finally:
+            for k, v in saved.items():
+                if v is None:
+                    os.environ.pop(k, None)
+                else:
+                    os.environ[k] = v
+        results.append((out.getvalue(), err.getvalue(), code))
+    json.dump(results, sys.stdout)
+    return 0
+
+
+def run_tree(tree: Path, runs) -> list:
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--child",
+         str(tree / "src")],
+        input=json.dumps(runs), capture_output=True, text=True, cwd=ROOT,
+        check=False,
+    )
+    if proc.returncode:
+        raise SystemExit(f"child for {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("other", nargs="?", metavar="OTHER_TREE",
+                    help="root of the checkout to compare against")
+    ap.add_argument("--child", metavar="SRC", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.child:
+        return child(args.child)
+    if not args.other:
+        ap.error("OTHER_TREE is required")
+    other = Path(args.other).resolve()
+    if not (other / "src" / "crystor").is_dir():
+        ap.error(f"{other} has no src/crystor")
+
+    runs = [(argv + extra, env)
+            for argv, env in argument_lists() for extra in ([], ["--json"])]
+    mine, theirs = run_tree(ROOT, runs), run_tree(other, runs)
+    differ = 0
+    for (argv, env), a, b in zip(runs, mine, theirs):
+        if a == b:
+            continue
+        differ += 1
+        prefix = " ".join(f"{k}={v}" for k, v in env.items())
+        print(f"DIFF {prefix + ' ' if prefix else ''}crystor {' '.join(argv)}")
+        for name, x, y in zip(("stdout", "stderr", "exit"), a, b):
+            if x != y:
+                print(f"  {name} here:  {x!r}")
+                print(f"  {name} other: {y!r}")
+    print(f"{len(runs)} runs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

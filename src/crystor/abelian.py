@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     BadInput,
@@ -38,7 +37,7 @@ ENUM_BUDGET_ENV = "CRYSTOR_ENUM_BUDGET"
 
 
 def enum_budget() -> int:
-    """Budget for brute-force walks, overridable via environment.
+    """The one budget for brute-force walks: CRYSTOR_ENUM_BUDGET, else 2**16.
 
     It bounds the ambient elements of the oracle and of subgroup
     enumeration, and the number of subgroups enumerated.  A value that
@@ -103,10 +102,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entry(i, j) for i in range(self.rows))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([self.column(j) for j in range(self.cols)]) \
-            if self.cols else IntMatrix(0, self.rows, ())
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -506,12 +501,16 @@ def local_smith(m: IntMatrix, p: int, k: int) -> LocalSmith:
 # into [0, pivot); it is the canonical form used to compare subgroups.
 
 
-def hnf_rows(rows, dim: int, aug: int = 0):
+def hnf_rows(rows, dim: int):
     """Canonical row HNF of the lattice spanned by ``rows`` in Z^dim.
 
-    Each row may carry ``aug`` extra passenger columns that are combined
-    along with it but take no part in pivoting; passing the identity
-    there recovers the transform.  Returns a list of nonzero basis rows.
+    Pivoting reads the first ``dim`` columns only.  Entries of a row
+    beyond them are passengers, combined along with it, so appending
+    the identity to the rows recovers the transform.  Returns a list of
+    nonzero basis rows.
+
+    >>> hnf_rows([[2, 4], [0, 3]], 2)
+    [[2, 1], [0, 3]]
     """
     work = [list(r) for r in rows]
     basis = []  # finished rows, by increasing pivot column
@@ -549,24 +548,13 @@ def hnf_rows(rows, dim: int, aug: int = 0):
     return basis
 
 
-def lattice_contains(basis, vec, dim: int) -> bool:
-    """Membership of ``vec`` in the lattice with HNF basis ``basis``."""
-    v = list(vec)
-    pivots = {next(c for c in range(dim) if row[c]): row for row in basis}
-    for col in range(dim):
-        if v[col] == 0:
-            continue
-        row = pivots.get(col)
-        if row is None or v[col] % row[col]:
-            return False
-        q = v[col] // row[col]
-        for t in range(dim):
-            v[t] -= q * row[t]
-    return True
-
-
 def lattice_solve(basis, vec, dim: int):
-    """Coordinates of ``vec`` in the HNF basis, or None if not a member."""
+    """Coordinates of ``vec`` in the HNF basis, or None if not a member.
+
+    >>> basis = hnf_rows([[2, 1], [0, 3]], 2)
+    >>> lattice_solve(basis, [4, 5], 2), lattice_solve(basis, [1, 0], 2)
+    ([2, 1], None)
+    """
     v = list(vec)
     coords = [0] * len(basis)
     pivot_of = [next(c for c in range(dim) if row[c]) for row in basis]
@@ -587,7 +575,7 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1."""
     n = m.rows
     ident = diagonal_rows((1,) * n)
-    aug = hnf_rows([list(m.row(i)) + ident[i] for i in range(n)], n, aug=n)
+    aug = hnf_rows([list(m.row(i)) + ident[i] for i in range(n)], n)
     # HNF of a unimodular matrix is the identity; passengers hold the inverse
     inv = [r[n:] for r in aug]
     return IntMatrix.from_rows(inv)
@@ -674,7 +662,7 @@ class FinAbGroup:
 
     @property
     def order(self) -> int:
-        return reduce(lambda x, y: x * y, self.invariant_factors, 1)
+        return prod(self.invariant_factors)
 
     @property
     def rank(self) -> int:
@@ -837,16 +825,6 @@ class GroupHom:
     def identity(cls, g: FinAbGroup) -> "GroupHom":
         return cls(g, g, IntMatrix.identity(g.rank))
 
-    def apply(self, vec) -> tuple[int, ...]:
-        if len(vec) != self.source.rank:
-            raise ShapeMismatch("vector length disagrees with source rank")
-        tinv = self.target.invariant_factors
-        return tuple(
-            sum(self.matrix.entry(i, j) * vec[j] for j in range(self.source.rank))
-            % tinv[i]
-            for i in range(self.target.rank)
-        )
-
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self after inner."""
         if inner.target != self.source:
@@ -855,13 +833,6 @@ class GroupHom:
 
     def is_zero(self) -> bool:
         return not any(self.matrix.entries)
-
-    def add(self, other: "GroupHom") -> "GroupHom":
-        if self.source != other.source or self.target != other.target:
-            raise ShapeMismatch("sum of homs needs equal source and target")
-        ent = tuple(x + y for x, y in zip(self.matrix.entries, other.matrix.entries))
-        return GroupHom(self.source, self.target,
-                        IntMatrix(self.matrix.rows, self.matrix.cols, ent))
 
     # -- subgroup computations (lattice method) -----------------------------
     #
@@ -1008,10 +979,10 @@ def _extension_tails(n: int, d: int, basis, dim: int):
     return reps
 
 
-def require_element_budget(n: int, t: int, budget: int | None = None) -> int:
-    """The budget in force (``budget``, else enum_budget()); raises
-    BudgetExceeded when (Z/n)^t has more elements than that."""
-    limit = budget if budget is not None else enum_budget()
+def require_element_budget(n: int, t: int) -> int:
+    """The budget in force, enum_budget(); raises BudgetExceeded when
+    (Z/n)^t has more elements than that."""
+    limit = enum_budget()
     if n ** t > limit:
         raise BudgetExceeded(
             f"{n}^{t} = {n ** t} elements exceeds the enumeration budget {limit}"
@@ -1019,14 +990,14 @@ def require_element_budget(n: int, t: int, budget: int | None = None) -> int:
     return limit
 
 
-def enumerate_subgroups(n: int, t: int, budget: int | None = None):
+def enumerate_subgroups(n: int, t: int):
     """Every subgroup of (Z/n)^t exactly once, as tuples of generators.
 
     Generators are the canonical HNF basis rows with pivot < n, reduced
     mod n; the trivial subgroup is the empty tuple.  Raises
     BudgetExceeded when n**t, or the number of subgroups, is larger than
-    the configured budget (default 2**16, environment-overridable).  A
-    group whose subgroup_count_bound already exceeds the budget, such as
+    enum_budget() (default 2**16, set by CRYSTOR_ENUM_BUDGET).  A group
+    whose subgroup_count_bound already exceeds the budget, such as
     (Z/2)^9 with 8.3 million subgroups but only 512 elements, is refused
     before any walking; the others are checked while each rank's list
     grows.
@@ -1040,7 +1011,7 @@ def enumerate_subgroups(n: int, t: int, budget: int | None = None):
         raise BadModulus("subgroup enumeration needs n >= 2")
     if t < 1:
         raise ShapeMismatch("rank must be >= 1")
-    limit = require_element_budget(n, t, budget)
+    limit = require_element_budget(n, t)
     if subgroup_count_bound(n, t) > limit:
         _subgroup_budget_exceeded(n, t, limit)
     return _enumerate_subgroups(n, t, limit)
@@ -1078,12 +1049,6 @@ def _enumerate_subgroups(n: int, t: int, limit: int):
 
 def _pivot_index(row) -> int:
     return next(i for i, x in enumerate(row) if x)
-
-
-def subgroup_canonical(gens, n: int, dim: int):
-    """Canonical HNF form of the subgroup of (Z/n)^dim spanned by ``gens``."""
-    rows = [list(g) for g in gens] + diagonal_rows((n,) * dim)
-    return tuple(tuple(r) for r in hnf_rows(rows, dim))
 
 
 def subgroup_elements(gens, n: int, dim: int) -> frozenset:

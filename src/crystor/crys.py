@@ -33,12 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import gcd
 
 from .abelian import (
     FinAbGroup,
     diagonal_rows,
     hnf_rows,
-    lattice_contains,
+    lattice_solve,
     n_torsion,
     p_primary_part,
     p_valuation,
@@ -109,7 +111,7 @@ def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
     return Crys1Report(n, t, gens, orders, group, is_full)
 
 
-def oracle_crys1(data: DegenerationData, m: int, budget: int | None = None) -> Crys1Report:
+def oracle_crys1(data: DegenerationData, m: int) -> Crys1Report:
     """Brute-force route: evaluate the monodromy on every etale vector.
 
     The maximal submodule is the x-span plus the lifts of every etale
@@ -119,17 +121,18 @@ def oracle_crys1(data: DegenerationData, m: int, budget: int | None = None) -> C
     of the resulting y-part is read off by counting p^k-torsion
     elements and the generator orders by gcds, so no Smith or Hermite
     form is shared with the direct route.  Raises BudgetExceeded when
-    n^t exceeds the budget.
+    n^t exceeds enum_budget(), which CRYSTOR_ENUM_BUDGET sets, and
+    RouteDisagreement when the span's torsion counts are not powers of p.
     """
     data.validate()
     p, t = data.p, data.t
     n = level_modulus(p, m)
-    require_element_budget(n, t, budget)
+    require_element_budget(n, t)
 
     mu_rows = data.mu.as_rows()
     picked: list[tuple[int, ...]] = []
     current = frozenset({(0,) * t})
-    for vec in _all_vectors(n, t):
+    for vec in product(range(n), repeat=t):
         killed = all(sum(r[j] * vec[j] for j in range(t)) % n == 0 for r in mu_rows)
         if killed and vec not in current:
             picked.append(vec)
@@ -139,39 +142,16 @@ def oracle_crys1(data: DegenerationData, m: int, budget: int | None = None) -> C
     gens = tuple(_x_lift(t, i) for i in range(t)) + tuple(
         _y_lift(t, g, n) for g in picked
     )
-    gen_orders = (n,) * t + tuple(
-        _element_order(g, n) for g in picked
-    )
+    gen_orders = (n,) * t + tuple(n // gcd(n, *g) for g in picked)
     group = FinAbGroup.of_orders((n,) * t + orders_y)
     return Crys1Report(n, t, gens, gen_orders, group, len(current) == n**t)
-
-
-def _all_vectors(n: int, t: int):
-    vec = [0] * t
-    while True:
-        yield tuple(vec)
-        i = t - 1
-        while i >= 0 and vec[i] == n - 1:
-            vec[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        vec[i] += 1
-
-
-def _element_order(vec, n: int) -> int:
-    from math import gcd
-
-    g = n
-    for x in vec:
-        g = gcd(g, x)
-    return n // g
 
 
 def _type_by_torsion_count(elements, n: int, p: int, m: int, t: int) -> tuple[int, ...]:
     """Invariant factors of a subgroup of (Z/n)^t from its p^k-torsion
     counts: lambda_k = log_p #S[p^k] has increments counting the cyclic
-    factors of order at least p^k."""
+    factors of order at least p^k.  A count that is not a power of p
+    means the elements are not a subgroup: RouteDisagreement."""
     lam = []
     for k in range(m + 1):
         pk = p**k
@@ -179,11 +159,12 @@ def _type_by_torsion_count(elements, n: int, p: int, m: int, t: int) -> tuple[in
             1 for e in elements if all((x * pk) % n == 0 for x in e)
         )
         exponent = 0
-        while count > 1:
-            if count % p:
-                raise AssertionError("torsion count is not a p-power")
-            count //= p
+        while p ** (exponent + 1) <= count:
             exponent += 1
+        if p**exponent != count:
+            raise RouteDisagreement(
+                f"oracle span's {p}^{k}-torsion count is not a power of {p}",
+                count, p**exponent)
         lam.append(exponent)
     delta = [lam[k] - lam[k - 1] for k in range(1, m + 1)] + [0]
     orders = []
@@ -237,9 +218,11 @@ def phi_formula_check(data: DegenerationData, m: int) -> tuple[FinAbGroup, bool]
 
 def _stabilized_phi(data: DegenerationData, cap: int) -> tuple[FinAbGroup, int]:
     """First level m with phi_m == phi_{m+1}; the chain is monotone, so
-    one repeat means it is constant from there on."""
+    one repeat means it is constant from there on.  The cap must be at
+    least 2, since the test compares levels m and m + 1."""
     if cap < 2:
-        raise NotStabilized(1, cap)
+        raise BadInput(f"the cap must be at least 2, got {cap}: "
+                       "stabilization compares levels m and m + 1")
     prev = phi_n(data, 1)
     last_growth = 1
     for m in range(2, cap + 1):
@@ -280,17 +263,17 @@ class TateReport:
     y_part_vanishes: bool
 
 
-def crys1_tate_module(data: DegenerationData, levels: int | None = None) -> TateReport:
+def crys1_tate_module(data: DegenerationData) -> TateReport:
     """Rank-t free module of twist weight 1.
 
-    Verifies the finite levels cohere: reduction sends each level's
-    maximal submodule into the next one down, and the y-parts die once
-    the level clears the largest p-power invariant.
+    Verifies levels 1..max(6, v + 1) cohere, p^v the component group's
+    p-exponent: reduction sends each level's maximal submodule into the
+    next one down, and the y-parts die at the top level.
     """
     data.validate()
     p, t = data.p, data.t
     v_max = p_valuation(component_group(data).exponent(), p)
-    m_top = levels if levels is not None else max(6, v_max + 1)
+    m_top = max(6, v_max + 1)
 
     compatible = True
     reports = {m: crys1_torsion(data, m) for m in range(1, m_top + 1)}
@@ -299,13 +282,13 @@ def crys1_tate_module(data: DegenerationData, levels: int | None = None) -> Tate
         n_small = p**m
         for g in reports[m + 1].generators:
             reduced = tuple(x % n_small for x in g)
-            if not lattice_contains(coarse, reduced, 2 * t):
+            if lattice_solve(coarse, reduced, 2 * t) is None:
                 compatible = False
 
     top = reports[m_top]
     y_dead = all(
         all(x % p == 0 for x in g[t:]) for g in top.generators
-    ) if m_top > v_max else False
+    )
     return TateReport(t, 1, m_top, compatible, y_dead)
 
 

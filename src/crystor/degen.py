@@ -38,15 +38,7 @@ from .errors import (
     RouteDisagreement,
     ShapeMismatch,
 )
-from .kummer import ExtClass, KummerClass, baer_sum
-
-
-def default_unit_symbols(t: int) -> tuple[tuple[str, ...], ...]:
-    """Fresh symmetric symbol grid: entry (i, j) is u{a}_{b} with a <= b."""
-    return tuple(
-        tuple(f"u{min(i, j) + 1}_{max(i, j) + 1}" for j in range(t))
-        for i in range(t)
-    )
+from .kummer import ExtClass, KummerClass, baer_sum, raynaud_split
 
 
 def leading_minors(mu: IntMatrix):
@@ -103,6 +95,8 @@ class DegenerationData:
         return self.mu.rows
 
     def symbol(self, i: int, j: int) -> str:
+        """Unit symbol of entry (i, j); by default the fresh symmetric
+        name u{a}_{b} with a <= b."""
         if self.unit_symbols is None:
             return f"u{min(i, j) + 1}_{max(i, j) + 1}"
         return self.unit_symbols[i][j]
@@ -219,11 +213,7 @@ def raynaud_decompose(data: DegenerationData, m: int) -> tuple[ExtClass, GroupHo
     torsion class up to the unit symbols, and exactly equals it since
     the val/unit split is entrywise.
     """
-    tors = torsion_module(data, m)
-    unit_rows = tuple(
-        tuple(c.unit_part() for c in row) for row in tors.ext.kappa
-    )
-    eta1 = ExtClass(tors.n, data.t, data.t, unit_rows)
+    eta1, _ = raynaud_split(torsion_module(data, m).ext)
     return eta1, monodromy_map(data, m)
 
 

@@ -137,13 +137,6 @@ class PresentedModule:
             mixed[j] % d for j, d in enumerate(self._orders) if d > 1
         )
 
-    def generator_coords(self) -> tuple[tuple[int, ...], ...]:
-        n_gen = len(self.labels)
-        return tuple(
-            self.coords([1 if i == j else 0 for i in range(n_gen)])
-            for j in range(n_gen)
-        )
-
     def hom_to(self, other: "PresentedModule", gen_map: IntMatrix) -> GroupHom:
         """Transport a generator-level map (column j = image of our
         generator j in other's generators) to the derived groups.

@@ -22,7 +22,6 @@ from crystor.abelian import (
     p_primary_part,
     p_valuation,
     smith_normal_form,
-    subgroup_canonical,
     subgroup_count_bound,
     subgroup_elements,
     unimodular_inverse,
@@ -401,13 +400,10 @@ def test_subgroups_match_closure_oracle():
     assert mine == brute
 
 
-def test_subgroup_budget():
+def test_subgroup_budget(monkeypatch):
+    monkeypatch.delenv("CRYSTOR_ENUM_BUDGET", raising=False)
     with pytest.raises(BudgetExceeded):
         enumerate_subgroups(2, 17)
-    # an explicit budget argument overrides the default
-    with pytest.raises(BudgetExceeded):
-        enumerate_subgroups(4, 2, budget=15)
-    assert len(enumerate_subgroups(4, 2, budget=16)) == 15
 
 
 def test_subgroup_budget_env_override(monkeypatch):
@@ -416,13 +412,31 @@ def test_subgroup_budget_env_override(monkeypatch):
         enumerate_subgroups(3, 2)
     monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "100")
     assert len(enumerate_subgroups(3, 2)) == 6
+    # the environment is the only override: 16 elements and 15 subgroups
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "15")
+    with pytest.raises(BudgetExceeded):
+        enumerate_subgroups(4, 2)
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "16")
+    assert len(enumerate_subgroups(4, 2)) == 15
 
 
-def test_subgroup_budget_counts_subgroups():
+def test_subgroup_budget_counts_subgroups(monkeypatch):
     # (Z/2)^3 has 8 elements but 16 subgroups
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "15")
     with pytest.raises(BudgetExceeded, match="subgroups"):
-        enumerate_subgroups(2, 3, budget=15)
-    assert len(enumerate_subgroups(2, 3, budget=16)) == 16
+        enumerate_subgroups(2, 3)
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "16")
+    assert len(enumerate_subgroups(2, 3)) == 16
+
+
+def test_no_library_function_takes_a_budget():
+    import inspect
+
+    from crystor import abelian, cli, crys, degen, kummer, pushout
+
+    for module in (abelian, crys, degen, kummer, pushout, cli):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            assert "budget" not in inspect.signature(fn).parameters, name
 
 
 def test_subgroup_budget_stops_z2_rank_nine(monkeypatch):
@@ -483,5 +497,8 @@ def test_unimodular_inverse():
 
 def test_subgroup_canonical_equality():
     # <(1,1)> and <(3,3)> coincide inside (Z/4)^2
-    assert subgroup_canonical([(1, 1)], 4, 2) == subgroup_canonical([(3, 3)], 4, 2)
-    assert subgroup_canonical([(1, 0)], 4, 2) != subgroup_canonical([(0, 1)], 4, 2)
+    def canonical(gens):
+        return hnf_rows([list(g) for g in gens] + diagonal_rows((4, 4)), 2)
+
+    assert canonical([(1, 1)]) == canonical([(3, 3)])
+    assert canonical([(1, 0)]) != canonical([(0, 1)])

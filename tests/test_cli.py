@@ -208,6 +208,16 @@ def test_unstabilized_cap_exit_one(capsys, tmp_path):
     assert "raise the cap" in err
 
 
+@pytest.mark.parametrize("sub", ["r1", "les"])
+@pytest.mark.parametrize("cap", ["1", "0", "-5"])
+def test_cap_below_two_exit_one(capsys, sub, cap):
+    code, out, err = run_main(
+        capsys, [sub, str(CORPUS / "t2_identity_p3.txt"), "--cap", cap])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: BadInput: the cap must be at least 2")
+
+
 def test_budget_exceeded_exit_three(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "10")
     path = tmp_path / "small.txt"
@@ -253,6 +263,20 @@ def test_route_disagreement_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(crystor.crys, "p_primary_part",
                         lambda g, p: FinAbGroup.trivial())
     code, out, err = run_main(capsys, ["r1", str(CORPUS / "tate_v05_p5.txt")])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: RouteDisagreement:")
+
+
+def test_oracle_non_subgroup_span_exit_two(capsys, monkeypatch):
+    # a span that is not a subgroup has torsion counts that are not
+    # powers of p; the oracle reports it as a route disagreement
+    import crystor.crys
+
+    monkeypatch.setattr(crystor.crys, "subgroup_elements",
+                        lambda gens, n, dim: frozenset({(0,) * dim, gens[0]}))
+    code, out, err = run_main(
+        capsys, ["crys1", str(CORPUS / "tate_v05_p5.txt"), "--m", "1", "--oracle"])
     assert code == 2
     assert out == ""
     assert err.startswith("error: RouteDisagreement:")

@@ -83,12 +83,12 @@ def test_order_law_snf_route():
 
 def test_x_span_always_inside():
     rep = crys1_torsion(data_of(3, [[2, 1], [1, 2]]), 2)
-    from crystor.abelian import lattice_contains
+    from crystor.abelian import lattice_solve
 
     basis = rep.lattice()
     for i in range(rep.t):
         e = [1 if j == i else 0 for j in range(2 * rep.t)]
-        assert lattice_contains(basis, e, 2 * rep.t)
+        assert lattice_solve(basis, e, 2 * rep.t) is not None
 
 
 # --- the oracle -------------------------------------------------------
@@ -111,14 +111,28 @@ def test_oracle_rank_two_order_27():
     rep = oracle_crys1(data_of(3, [[2, 1], [1, 2]]), 1)
     assert rep.group.order == 27
     # the kernel line (1, 1) must be in the span
-    from crystor.abelian import lattice_contains
+    from crystor.abelian import lattice_solve
 
-    assert lattice_contains(rep.lattice(), (0, 0, 1, 1), 4)
+    assert lattice_solve(rep.lattice(), (0, 0, 1, 1), 4) is not None
 
 
-def test_oracle_budget_guard():
+def test_oracle_budget_guard(monkeypatch):
+    data = data_of(2, [[8, 1], [1, 8]])
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "63")
     with pytest.raises(BudgetExceeded):
-        oracle_crys1(data_of(2, [[8, 1], [1, 8]]), 3, budget=63)
+        oracle_crys1(data, 3)
+    # 8^2 = 64 elements fit a budget of 64
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "64")
+    assert oracle_crys1(data, 3).group == crys1_torsion(data, 3).group
+
+
+def test_oracle_type_rejects_a_non_subgroup():
+    # {0, 1, 2} in Z/4 has three 4-torsion elements, not a power of 2
+    from crystor.crys import _type_by_torsion_count
+
+    assert _type_by_torsion_count({(0,), (2,)}, 4, 2, 2, 1) == (2,)
+    with pytest.raises(RouteDisagreement, match="not a power of 2"):
+        _type_by_torsion_count({(0,), (1,), (2,)}, 4, 2, 2, 1)
 
 
 def test_oracle_enumerates_no_subgroups(monkeypatch):
@@ -410,6 +424,17 @@ def test_les_rank_two():
     assert rep.exact
     assert rep.colimit_torsion == FinAbGroup.of_orders([2, 4])
     assert rep.r1_torsion == FinAbGroup.of_orders([2, 4])
+
+
+@pytest.mark.parametrize("cap", [1, 0, -5])
+def test_cap_below_two_is_bad_input(cap):
+    # stabilization compares levels m and m + 1, so it needs two levels;
+    # phi is trivial here, so growth must not be reported
+    data = data_of(3, [[1, 0], [0, 1]])
+    for fn in (r1crys1_tors, les_report):
+        with pytest.raises(BadInput, match="at least 2"):
+            fn(data, cap=cap)
+    assert r1crys1_tors(data, cap=2).is_trivial()
 
 
 def test_les_not_stabilized():

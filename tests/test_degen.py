@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from crystor.abelian import IntMatrix
 from crystor.degen import (
     DegenerationData,
-    default_unit_symbols,
     leading_minors,
     monodromy_map,
     raynaud_decompose,
@@ -171,7 +170,8 @@ def test_validate_rejects_bad_symbol_grid():
 
 
 def test_default_symbols_symmetric():
-    grid = default_unit_symbols(3)
+    data = data_of(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    grid = [[data.symbol(i, j) for j in range(3)] for i in range(3)]
     assert grid[0][1] == grid[1][0] == "u1_2"
     assert grid[2][2] == "u3_3"
     flat = {s for row in grid for s in row}
