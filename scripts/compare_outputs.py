@@ -10,8 +10,9 @@ Both children work in this tree's root, so the corpus paths, and any
 error message naming them, are the same.  The list covers every
 subcommand over ``corpus/`` at m = 1..3, ``crys1 --oracle``, r1 and
 les at caps 1, 2, 12 and 20 and at their default, ``verify --max-m
-1..3 --seed 7``, 18 tate cases and a set of error cases, each with and
-without ``--json``.
+1..3 --seed 7``, 18 tate cases, three levels whose modulus has more
+than 4,300 digits and a set of error cases, each with and without
+``--json``.
 
 Prints the number of runs and every run whose stdout, stderr or exit
 code differ, and exits 1 if any do.  Stdlib only.
@@ -55,6 +56,9 @@ def argument_lists() -> list[tuple[list[str], dict]]:
         runs.append((["tate", "--v", str(v), "--p", str(p), "--m", str(m)], {}))
     ident = "corpus/t2_identity_p3.txt"
     runs += [
+        (["crys1", ident, "--m", "9000"], {}),
+        (["tate", "--v", "5", "--p", "5", "--m", "7000"], {}),
+        (["torsion", ident, "--m", "9000"], {}),
         (["r1", ident, "--cap", "0"], {}),
         (["r1", ident, "--cap", "-5"], {}),
         (["les", ident, "--cap", "0"], {}),

@@ -149,30 +149,6 @@ class DegenerationData:
         return local_smith(self.mu, self.p, k)
 
 
-@dataclass(frozen=True)
-class TorsionModule:
-    """p^m-torsion of the uniformized variety, as an extension class on
-    the adapted basis x_1..x_t (multiplicative), y_1..y_t (etale)."""
-
-    n: int
-    ext: ExtClass
-
-    @property
-    def t(self) -> int:
-        return self.ext.etale_rank
-
-    @property
-    def x_labels(self) -> tuple[str, ...]:
-        return tuple(f"x{i + 1}" for i in range(self.t))
-
-    @property
-    def y_labels(self) -> tuple[str, ...]:
-        return tuple(f"y{i + 1}" for i in range(self.t))
-
-    def ambient_order(self) -> int:
-        return self.n ** (2 * self.t)
-
-
 def level_modulus(p: int, m: int) -> int:
     """The modulus p^m of torsion level m >= 1."""
     if m < 1:
@@ -180,9 +156,10 @@ def level_modulus(p: int, m: int) -> int:
     return p**m
 
 
-def torsion_module(data: DegenerationData, m: int) -> TorsionModule:
-    """The p^m-torsion extension class: kappa[i][j] has valuation
-    mu[i][j] mod p^m and unit symbol u_ij."""
+def torsion_module(data: DegenerationData, m: int) -> ExtClass:
+    """The p^m-torsion as an extension class on the adapted basis
+    x_1..x_t (multiplicative), y_1..y_t (etale): kappa[i][j] has
+    valuation mu[i][j] mod p^m and unit symbol u_ij."""
     data.validate()
     n = level_modulus(data.p, m)
     t = data.t
@@ -193,12 +170,11 @@ def torsion_module(data: DegenerationData, m: int) -> TorsionModule:
         )
         for i in range(t)
     )
-    return TorsionModule(n, ExtClass(n, t, t, kappa))
+    return ExtClass(n, t, t, kappa)
 
 
 def monodromy_map(data: DegenerationData, m: int) -> GroupHom:
-    """nu = mu mod p^m, from the etale part (weight dropped by one) to
-    the multiplicative part."""
+    """nu = mu mod p^m, from the etale part to the multiplicative part."""
     data.validate()
     n = level_modulus(data.p, m)
     free = FinAbGroup.of_orders([n] * data.t)
@@ -213,12 +189,11 @@ def raynaud_decompose(data: DegenerationData, m: int) -> tuple[ExtClass, GroupHo
     torsion class up to the unit symbols, and exactly equals it since
     the val/unit split is entrywise.
     """
-    eta1, _ = raynaud_split(torsion_module(data, m).ext)
+    eta1, _ = raynaud_split(torsion_module(data, m))
     return eta1, monodromy_map(data, m)
 
 
 def recombine(eta1: ExtClass, nu: GroupHom) -> ExtClass:
     """Baer sum of a prolongable class with the pure-valuation class of
     nu's matrix; inverse to raynaud_decompose."""
-    val_class = ExtClass.from_val_matrix(eta1.n, nu.matrix.as_rows())
-    return baer_sum(eta1, val_class)
+    return baer_sum(eta1, ExtClass.from_val_matrix(eta1.n, nu.matrix))

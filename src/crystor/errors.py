@@ -69,10 +69,6 @@ class NotPositiveDefinite(ArtifactError):
         )
 
 
-class WeightOutOfRange(ArtifactError):
-    """A twist would move a weight outside {0, 1}."""
-
-
 class NotAMorphism(ArtifactError):
     """Matrices fail to commute with the monodromy maps."""
 

@@ -9,18 +9,17 @@ equal only if identical, and the package never decides whether a unit is
 an n-th power.  Everything downstream that matters (crystallinity,
 component groups) depends only on the valuation parts.
 
-An ExtClass is the class of an extension of (Z/n)^r (etale, twist
-weight 0) by (Z/n)^s (multiplicative, twist weight 1), encoded as an
-s x r matrix of KummerClasses.  The split class is the zero matrix and
+An ExtClass is the class of an extension of (Z/n)^r (etale) by
+(Z/n)^s (multiplicative), encoded as an s x r matrix of KummerClasses.  The split class is the zero matrix and
 Baer sum is entrywise addition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abelian import FinAbGroup, GroupHom, IntMatrix
-from .errors import ShapeMismatch, WeightOutOfRange
+from .errors import ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -90,30 +89,6 @@ class KummerClass:
 
 
 @dataclass(frozen=True)
-class TwistWeight:
-    """Twist bookkeeping; only weights 0 (etale) and 1 (multiplicative)
-    occur in scope."""
-
-    weight: int
-
-    def __post_init__(self):
-        if self.weight not in (0, 1):
-            raise WeightOutOfRange(f"weight {self.weight} is outside {{0, 1}}")
-
-    def shifted(self, k: int) -> "TwistWeight":
-        w = self.weight + k
-        if w not in (0, 1):
-            raise WeightOutOfRange(
-                f"twist by {k} moves weight {self.weight} outside {{0, 1}}"
-            )
-        return TwistWeight(w)
-
-
-ETALE = TwistWeight(0)
-MULTIPLICATIVE = TwistWeight(1)
-
-
-@dataclass(frozen=True)
 class ExtClass:
     """Class of an extension of (Z/n)^etale_rank by (Z/n)^mult_rank.
 
@@ -125,8 +100,6 @@ class ExtClass:
     mult_rank: int
     etale_rank: int
     kappa: tuple[tuple[KummerClass, ...], ...]
-    mult_weight: TwistWeight = MULTIPLICATIVE
-    etale_weight: TwistWeight = ETALE
 
     def __post_init__(self):
         if len(self.kappa) != self.mult_rank:
@@ -149,13 +122,13 @@ class ExtClass:
         )
 
     @classmethod
-    def from_val_matrix(cls, n: int, vals) -> "ExtClass":
+    def from_val_matrix(cls, n: int, vals: IntMatrix) -> "ExtClass":
+        """The pure-valuation class whose valuations are ``vals`` mod n."""
         rows = tuple(
-            tuple(KummerClass(n, v) for v in row) for row in vals
+            tuple(KummerClass(n, v) for v in vals.row(i))
+            for i in range(vals.rows)
         )
-        s = len(rows)
-        r = len(rows[0]) if rows else 0
-        return cls(n, s, r, rows)
+        return cls(n, vals.rows, vals.cols, rows)
 
     def entry(self, i: int, j: int) -> KummerClass:
         return self.kappa[i][j]
@@ -167,10 +140,7 @@ class ExtClass:
 
     def reduce_to(self, n2: int) -> "ExtClass":
         rows = tuple(tuple(c.reduce_to(n2) for c in row) for row in self.kappa)
-        return ExtClass(
-            n2, self.mult_rank, self.etale_rank, rows,
-            self.mult_weight, self.etale_weight,
-        )
+        return ExtClass(n2, self.mult_rank, self.etale_rank, rows)
 
     def column_combination(self, vec) -> tuple[KummerClass, ...]:
         """The kappa value on the etale element with coordinates ``vec``."""
@@ -192,27 +162,21 @@ class ExtClass:
         return f"ExtClass(n={self.n}, [{rows}])"
 
 
-def _require_same_shape(a: ExtClass, b: ExtClass):
+def baer_sum(a: ExtClass, b: ExtClass) -> ExtClass:
+    """Entrywise sum of kappa matrices: the group law on extension classes."""
     if (a.n, a.mult_rank, a.etale_rank) != (b.n, b.mult_rank, b.etale_rank):
         raise ShapeMismatch(
             "extension classes must share modulus and ranks to be combined"
         )
-    if (a.mult_weight, a.etale_weight) != (b.mult_weight, b.etale_weight):
-        raise ShapeMismatch("extension classes must share twist weights")
-
-
-def baer_sum(a: ExtClass, b: ExtClass) -> ExtClass:
-    """Entrywise sum of kappa matrices: the group law on extension classes."""
-    _require_same_shape(a, b)
     rows = tuple(
         tuple(x.add(y) for x, y in zip(ra, rb)) for ra, rb in zip(a.kappa, b.kappa)
     )
-    return ExtClass(a.n, a.mult_rank, a.etale_rank, rows, a.mult_weight, a.etale_weight)
+    return ExtClass(a.n, a.mult_rank, a.etale_rank, rows)
 
 
 def baer_neg(a: ExtClass) -> ExtClass:
     rows = tuple(tuple(x.neg() for x in row) for row in a.kappa)
-    return ExtClass(a.n, a.mult_rank, a.etale_rank, rows, a.mult_weight, a.etale_weight)
+    return ExtClass(a.n, a.mult_rank, a.etale_rank, rows)
 
 
 def raynaud_split(a: ExtClass) -> tuple[ExtClass, ExtClass]:
@@ -223,10 +187,8 @@ def raynaud_split(a: ExtClass) -> tuple[ExtClass, ExtClass]:
     """
     unit_rows = tuple(tuple(x.unit_part() for x in row) for row in a.kappa)
     val_rows = tuple(tuple(x.val_part() for x in row) for row in a.kappa)
-    mk = lambda rows: ExtClass(
-        a.n, a.mult_rank, a.etale_rank, rows, a.mult_weight, a.etale_weight
-    )
-    return mk(unit_rows), mk(val_rows)
+    return (ExtClass(a.n, a.mult_rank, a.etale_rank, unit_rows),
+            ExtClass(a.n, a.mult_rank, a.etale_rank, val_rows))
 
 
 def is_one_crystalline(a: ExtClass) -> bool:
@@ -243,19 +205,3 @@ def monodromy_of(a: ExtClass) -> GroupHom:
     target = FinAbGroup.of_orders([a.n] * a.mult_rank)
     return GroupHom(source, target, a.val_matrix())
 
-
-def tate_twist(a: ExtClass, k: int) -> ExtClass:
-    """Shift both twist weights by k; kappa is untouched.
-
-    Raises WeightOutOfRange when a weight would leave {0, 1}.
-    """
-    if k not in (-1, 1):
-        raise WeightOutOfRange("only twists by +1 or -1 are in scope")
-    return ExtClass(
-        a.n,
-        a.mult_rank,
-        a.etale_rank,
-        a.kappa,
-        a.mult_weight.shifted(k),
-        a.etale_weight.shifted(k),
-    )

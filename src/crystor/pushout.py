@@ -206,21 +206,13 @@ def mp_pushout(obj: ExtNuObject) -> ExtClass:
     The generators-and-relations presentation is built alongside and its
     derived group checked against the class route's middle term.
     """
-    val_rows = tuple(
-        tuple(
-            KummerClass(obj.n, obj.nu.matrix.entry(i, j))
-            for j in range(obj.etale_rank)
-        )
-        for i in range(obj.mult_rank)
-    )
-    cls = ExtClass(obj.n, obj.mult_rank, obj.etale_rank, val_rows)
     presented = mp_presentation(obj).group
     by_class = middle_term_group(obj)
     if presented != by_class:
         raise RouteDisagreement(
             "presentation route disagrees with class route on the middle term",
             presented, by_class)
-    return cls
+    return ExtClass.from_val_matrix(obj.n, obj.nu.matrix)
 
 
 def generic_fiber(obj: ExtNuObject) -> ExtClass:
@@ -232,22 +224,15 @@ def generic_fiber(obj: ExtNuObject) -> ExtClass:
 # star pullback
 
 
-@dataclass(frozen=True)
-class InclusionData:
-    """How the pulled-back etale part sits in the original one:
-    generator coordinates, their orders, and the abstract group."""
-
-    generators: tuple[tuple[int, ...], ...]
-    orders: tuple[int, ...]
-    group: FinAbGroup
-
-
-def star_pullback(obj: ExtNuObject) -> tuple[ExtNuObject, InclusionData]:
-    """Restrict to the kernel of the monodromy.
+def star_pullback(
+    obj: ExtNuObject,
+) -> tuple[ExtNuObject, tuple[tuple[int, ...], ...]]:
+    """Restrict to the kernel of the monodromy: (sub, generators).
 
     The pulled-back object has zero monodromy, so its generic fiber is
-    1-crystalline; its etale part is ker(nu) with generators aligned to
-    the kernel's invariant factors.
+    1-crystalline; its etale part is ker(nu), and ``generators`` are
+    the coordinates in obj's etale part of the kernel generators,
+    aligned to ``sub.etale_group.invariant_factors``.
     """
     if not obj.etale_is_free():
         raise BadInput("star pullback expects a free etale part")
@@ -259,7 +244,7 @@ def star_pullback(obj: ExtNuObject) -> tuple[ExtNuObject, InclusionData]:
     )
     eta = ExtClass(obj.n, obj.mult_rank, len(gens), kappa)
     sub = ExtNuObject(obj.n, eta, GroupHom.zero(group, obj.mult_group))
-    return sub, InclusionData(gens, group.invariant_factors, group)
+    return sub, gens
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +365,7 @@ def object_direct_sum(a: ExtNuObject, b: ExtNuObject) -> ExtNuObject:
     for i in range(b.mult_rank):
         kappa.append((zero,) * a.etale_rank + tuple(b.eta_ok.kappa[i]))
     eta = ExtClass(n, a.mult_rank + b.mult_rank, a.etale_rank + b.etale_rank,
-                   tuple(kappa), a.eta_ok.mult_weight, a.eta_ok.etale_weight)
+                   tuple(kappa))
     nu_rows = []
     for i in range(a.mult_rank):
         nu_rows.append(list(a.nu.matrix.row(i)) + [0] * b.etale_rank)

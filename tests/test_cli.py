@@ -208,6 +208,52 @@ def test_unstabilized_cap_exit_one(capsys, tmp_path):
     assert "raise the cap" in err
 
 
+@pytest.fixture
+def int_digit_limit():
+    """main lifts the interpreter's limit on int/str conversion for the
+    whole process; restore it so later tests run under the default."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("argv, p, m", [
+    (["crys1", str(CORPUS / "t2_identity_p3.txt"), "--m", "9000"], 3, 9000),
+    (["tate", "--v", "5", "--p", "5", "--m", "7000"], 5, 7000),
+    (["torsion", str(CORPUS / "t2_identity_p3.txt"), "--m", "9000"], 3, 9000),
+], ids=["crys1", "tate", "torsion"])
+def test_large_level_prints_exactly(capsys, int_digit_limit, argv, p, m):
+    # p^m has more than 4,300 digits, past Python's default str limit
+    code, out, err = run_main(capsys, argv + ["--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["n"] == p**m
+    code, out, err = run_main(capsys, argv)
+    assert code == 0 and err == ""
+    assert f"{p**m}" in out
+
+
+def test_long_literal_in_mu_parses(capsys, int_digit_limit, tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("p = 3\nt = 1\nmu = [[3" + "0" * 4400 + "]]\n")
+    code, out, err = run_main(capsys, ["component-group", str(path), "--json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["order"] == 3 * 10**4400
+
+
+def test_torsion_report_labels_and_orders():
+    report, code = run_command(
+        ["torsion", str(CORPUS / "t2_identity_p3.txt"), "--m", "2"])
+    assert code == 0
+    doc = report.payload
+    assert doc["generators"] == ["x1", "x2", "y1", "y2"]
+    assert doc["orders"] == [9] * 4 and doc["ambient_order"] == 9**4
+    assert doc["val_matrix"] == [[1, 0], [0, 1]]
+    assert doc["unit_symbols"] == [["u1_1", "u1_2"], ["u1_2", "u2_2"]]
+
+
 @pytest.mark.parametrize("sub", ["r1", "les"])
 @pytest.mark.parametrize("cap", ["1", "0", "-5"])
 def test_cap_below_two_exit_one(capsys, sub, cap):

@@ -296,14 +296,21 @@ def test_one_smith_form_of_mu_per_input(snf_calls, monkeypatch):
 
 
 def test_no_kummer_objects_on_the_crys1_path(monkeypatch):
+    from pathlib import Path
+
     import crystor.degen
     import crystor.pushout
+    from crystor.cli import run_command
 
     objects = record_calls(monkeypatch, crystor.pushout.degeneration_object)
     modules = record_calls(monkeypatch, crystor.degen.torsion_module)
     data = data_of(3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]])
     assert les_report(data, cap=40).exact
     assert crys1_tate_module(data).reduction_compatible
+    # the torsion report reads mu mod p^m and the unit symbols directly
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    argv = ["torsion", str(corpus / "t2_units_p5.txt"), "--m", "2"]
+    assert run_command(argv)[1] == 0
     assert objects == [] and modules == []
 
 

@@ -181,22 +181,21 @@ def test_default_symbols_symmetric():
 def test_torsion_module_tate_curve():
     tors = torsion_module(data_of(5, [[5]]), 2)
     assert tors.n == 25
-    assert tors.ambient_order() == 25**2
-    c = tors.ext.entry(0, 0)
+    assert (tors.mult_rank, tors.etale_rank) == (1, 1)
+    c = tors.entry(0, 0)
     assert c.val == 5
     assert c.units == (("u1_1", 1),)
-    assert tors.x_labels == ("x1",) and tors.y_labels == ("y1",)
 
 
 def test_torsion_module_val_vanishes_at_matching_level():
     tors = torsion_module(data_of(2, [[8]]), 3)
-    assert tors.ext.entry(0, 0).val == 0
-    assert not tors.ext.entry(0, 0).is_zero()  # unit symbol survives
+    assert tors.entry(0, 0).val == 0
+    assert not tors.entry(0, 0).is_zero()  # unit symbol survives
 
 
 def test_torsion_module_rank_two_vals():
     tors = torsion_module(data_of(3, [[2, 1], [1, 2]]), 1)
-    assert tors.ext.val_matrix().as_rows() == ((2, 1), (1, 2))
+    assert tors.val_matrix().as_rows() == ((2, 1), (1, 2))
 
 
 def test_torsion_module_rejects_bad_level():
@@ -207,7 +206,7 @@ def test_torsion_module_rejects_bad_level():
 def test_monodromy_of_torsion_class_is_mu_mod_level():
     data = data_of(2, [[6, 1], [1, 3]])
     tors = torsion_module(data, 2)
-    assert monodromy_of(tors.ext).matrix == data.mu.mod(4)
+    assert monodromy_of(tors).matrix == data.mu.mod(4)
 
 
 def test_raynaud_tate_curve():
@@ -231,7 +230,7 @@ def test_recombination_identity(data):
     m = data.draw(st.integers(1, 6))
     d = data_of(p, data.draw(spd_matrices(t)))
     eta1, nu = raynaud_decompose(d, m)
-    assert recombine(eta1, nu) == torsion_module(d, m).ext
+    assert recombine(eta1, nu) == torsion_module(d, m)
 
 
 @settings(max_examples=30)
@@ -243,7 +242,7 @@ def test_level_reduction_compatibility(data):
     d = data_of(p, data.draw(spd_matrices(t)))
     fine = torsion_module(d, m + 1)
     coarse = torsion_module(d, m)
-    assert fine.ext.reduce_to(p**m) == coarse.ext
+    assert fine.reduce_to(p**m) == coarse
 
 
 @given(spd_matrices(3, bound=6))

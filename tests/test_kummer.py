@@ -4,19 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crystor.abelian import IntMatrix
-from crystor.errors import ShapeMismatch, WeightOutOfRange
+from crystor.errors import ShapeMismatch
 from crystor.kummer import (
-    ETALE,
-    MULTIPLICATIVE,
     ExtClass,
     KummerClass,
-    TwistWeight,
     baer_neg,
     baer_sum,
     is_one_crystalline,
     monodromy_of,
     raynaud_split,
-    tate_twist,
 )
 
 
@@ -193,34 +189,3 @@ def test_column_combination_units_scale():
     (c,) = e.column_combination((3, 2))
     assert c.units == (("u", 3), ("v", 2))
 
-
-# --- twists -----------------------------------------------------------
-
-
-def test_twist_weight_bounds():
-    with pytest.raises(WeightOutOfRange):
-        TwistWeight(2)
-    assert ETALE.shifted(1) == MULTIPLICATIVE
-    with pytest.raises(WeightOutOfRange):
-        MULTIPLICATIVE.shifted(1)
-
-
-def test_tate_twist_round_trip():
-    e = ExtClass(3, 1, 1, ((KummerClass(3, 1),),), ETALE, ETALE)
-    up = tate_twist(e, 1)
-    assert up.mult_weight == MULTIPLICATIVE and up.etale_weight == MULTIPLICATIVE
-    assert up.kappa == e.kappa
-    assert tate_twist(up, -1) == e
-
-
-def test_tate_twist_rejects_leaving_range():
-    e = ExtClass.split(4, 1, 1)  # weights (1, 0)
-    for k in (1, -1):
-        with pytest.raises(WeightOutOfRange):
-            tate_twist(e, k)
-
-
-def test_tate_twist_rejects_large_k():
-    e = ExtClass(3, 1, 1, ((KummerClass(3),),), ETALE, ETALE)
-    with pytest.raises(WeightOutOfRange):
-        tate_twist(e, 2)
