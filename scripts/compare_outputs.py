@@ -10,9 +10,10 @@ Both children work in this tree's root, so the corpus paths, and any
 error message naming them, are the same.  The list covers every
 subcommand over ``corpus/`` at m = 1..3, ``crys1 --oracle``, r1 and
 les at caps 1, 2, 12 and 20 and at their default, ``verify --max-m
-1..3 --seed 7``, 18 tate cases, three levels whose modulus has more
-than 4,300 digits and a set of error cases, each with and without
-``--json``.
+1..3 --seed 7``, 18 tate cases, ``tate --v 5 --m 1`` at five values of
+p that reach both branches of the prime test (strong pseudoprimes
+included), three levels whose modulus has more than 4,300 digits and a
+set of error cases, each with and without ``--json``.
 
 Prints the number of runs and every run whose stdout, stderr or exit
 code differ, and exits 1 if any do.  Stdlib only.
@@ -35,6 +36,12 @@ TATE_CASES = [
     (8, 2, 4), (9, 3, 2), (9, 3, 3), (12, 2, 3), (25, 5, 3), (27, 3, 2),
 ]
 
+# 1, strong pseudoprimes to the first 4, 11 and 13 prime bases, and 2^127 - 1
+PRIME_TEST_CASES = [
+    1, 3215031751, 3825123056546413051, 3317044064679887385961981,
+    170141183460469231731687303715884105727,
+]
+
 
 def argument_lists() -> list[tuple[list[str], dict]]:
     """(argv, environment overrides) for every run, without --json."""
@@ -54,6 +61,8 @@ def argument_lists() -> list[tuple[list[str], dict]]:
                 runs.append(([sub, f, "--cap", cap], {}))
     for v, p, m in TATE_CASES:
         runs.append((["tate", "--v", str(v), "--p", str(p), "--m", str(m)], {}))
+    for p in PRIME_TEST_CASES:
+        runs.append((["tate", "--v", "5", "--p", str(p), "--m", "1"], {}))
     ident = "corpus/t2_identity_p3.txt"
     runs += [
         (["crys1", ident, "--m", "9000"], {}),

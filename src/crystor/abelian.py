@@ -7,8 +7,8 @@ empty list).  The workhorses are Smith normal form with its unimodular
 transforms (over Z or Z/n), its diagonal alone by elimination modulo
 the determinant, the Smith form over the local ring Z/p^k, and a
 row-style Hermite normal form; on top of them sit kernels, cokernels,
-torsion and primary parts, exactness tests, and an exhaustive subgroup
-enumerator.
+torsion and primary parts, exactness tests, an exhaustive subgroup
+enumerator, and the primality test that `require_prime` applies to p.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]))
 >>> snf.D.as_rows()
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .errors import (
     BadInput,
@@ -719,10 +719,89 @@ def p_primary_part(g: FinAbGroup, p: int) -> FinAbGroup:
 
 
 def require_prime(p: int) -> None:
-    from sympy import isprime  # deferred: sympy import is heavy
-
-    if not isprime(p):
+    if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all of _SMALL_PRIMES (Sorenson-Webster 2015).
+_SMALL_BASES_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Primality by strong tests to the first 13 prime bases, which is
+    exact below _SMALL_BASES_EXACT_BELOW, and by Baillie-PSW above it
+    (a base-2 strong test and a strong Lucas test; no composite is
+    known to pass both).
+
+    >>> [q for q in range(-3, 30) if _is_prime(q)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    """
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < _SMALL_BASES_EXACT_BELOW:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller's strong test of the odd n > a to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of the odd n > 41 with Selfridge's
+    parameters: the first D in 5, -7, 9, -11, ... with (D/n) = -1,
+    P = 1 and Q = (1 - D)/4 (Baillie-Wagstaff 1980)."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D would have (D/n) = -1
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False  # |d| < n shares a factor with n
+        d = 2 - d if d < 0 else -d - 2
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    u, v, qk = 1, 1, q  # U_k, V_k and Q^k for k = 1
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (d * u + v) * half % n, qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,40 @@ def test_p_primary():
         p_primary_part(FinAbGroup.cyclic(12), 4)
 
 
+# n < 3317044064679887385961981 takes the 13-base branch, larger n BPSW
+PRIME_TEST_CASES = [
+    -7, 0, 1, 2,
+    3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,  # to the first 11 prime bases
+    318665857834031151167461,  # to the first 12
+    3317044064679887385961981,  # to the first 13: BPSW rejects it
+    2**89 - 1,
+    2**127 - 1,
+    (2**61 - 1) * (2**89 - 1),
+    (2**127 - 1) ** 2,
+]
+
+
+def test_prime_test_matches_sympy():
+    """The stdlib primality test behind require_prime agrees with sympy's
+    isprime on [0, 10^5), on seeded 60-200-bit odd integers and on the
+    pseudoprimes of each branch; its strong Lucas test agrees with
+    sympy's on odd n below 2*10^4, which holds five Lucas pseudoprimes."""
+    import random
+
+    from sympy import isprime
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    from crystor.abelian import _is_prime, _strong_lucas_probable_prime
+
+    rng = random.Random(20261018)
+    odd = [rng.getrandbits(rng.randint(60, 200)) | 1 for _ in range(5000)]
+    for n in [*range(10**5), *odd, *PRIME_TEST_CASES]:
+        assert _is_prime(n) == isprime(n), n
+    for n in range(43, 2 * 10**4, 2):
+        assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+
+
 # ---------------------------------------------------------------------------
 # homomorphisms and exactness
 

@@ -344,13 +344,10 @@ ROUTE_CHECK_UNDER_O = """
 import sys
 assert False, "asserts are live"
 import crystor.crys as crys
-import crystor.degen as degen
 from crystor.abelian import FinAbGroup, IntMatrix
 from crystor.degen import DegenerationData
 from crystor.errors import RouteDisagreement
 
-# skip the prime test: sympy would be byte-compiled afresh under -O
-degen.require_prime = lambda p: None
 crys.p_primary_part = lambda g, p: FinAbGroup.trivial()
 try:
     crys.r1crys1_tors(DegenerationData(5, IntMatrix.from_rows([[5]])))
@@ -359,14 +356,45 @@ except RouteDisagreement:
 """
 
 
-def test_route_check_survives_python_O():
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+def src_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this tree's src/."""
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_route_check_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", ROUTE_CHECK_UNDER_O],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True,
+                          env=src_env(PYTHONDONTWRITEBYTECODE="1"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised 1\n"
+
+
+NO_SYMPY = """
+import sys
+from crystor.cli import main
+code = main(sys.argv[1:])
+sys.exit("sympy was imported" if "sympy" in sys.modules else code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["component-group", "corpus/t3_dense_p5.txt", "--p-part"],
+    ["torsion", "corpus/t3_dense_p5.txt", "--m", "2"],
+    ["crys1", "corpus/t3_dense_p5.txt", "--m", "2", "--oracle"],
+    ["phi-check", "corpus/t3_dense_p5.txt", "--m", "2"],
+    ["r1", "corpus/t3_dense_p5.txt"],
+    ["les", "corpus/t3_dense_p5.txt"],
+    ["tate", "--v", "5", "--p", "5", "--m", "2"],
+    ["verify", "corpus/t3_dense_p5.txt", "--max-m", "1"],
+], ids=lambda argv: argv[0])
+def test_no_subcommand_imports_sympy(argv):
+    """The prime check is stdlib code: no command loads sympy."""
+    proc = subprocess.run([sys.executable, "-c", NO_SYMPY, *argv], cwd=ROOT,
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_subcommand_exit_one(capsys):
