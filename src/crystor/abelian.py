@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
+from operator import mul
 
 from .errors import (
     BadInput,
@@ -101,19 +102,17 @@ class IntMatrix:
         return tuple(self.row(i) for i in range(self.rows))
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entry(i, j) for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch("inner dimensions disagree")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            out.append(
-                [sum(ri[k] * other.entry(k, j) for k in range(self.cols))
-                 for j in range(other.cols)]
-            )
-        return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
+        columns = [other.column(j) for j in range(other.cols)]
+        entries = tuple(
+            sum(map(mul, self.row(i), col))
+            for i in range(self.rows) for col in columns
+        )
+        return IntMatrix(self.rows, other.cols, entries)
 
     def mod(self, n: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(x % n for x in self.entries))

@@ -57,7 +57,8 @@ from .degen import (
     recombine,
     torsion_module,
 )
-from .errors import ArtifactError, BadInput, NotStabilized, ParseError
+from .errors import (ArtifactError, BadInput, BadLevel, NotStabilized,
+                     ParseError)
 from .kummer import monodromy_of
 from .pushout import (
     ExtNuMorphism,
@@ -561,10 +562,13 @@ def _verify_checks(data: DegenerationData, max_m: int,
     def add(name: str, ok: bool, detail: str = ""):
         checks.append((name, ok, detail if not ok else ""))
 
+    if max_m < 1:
+        raise BadLevel("torsion level exponent must be at least 1")
     p, t, mu = data.p, data.t, data.mu
     coker = component_group(data)
     oracle_space = min(1 << 12, enum_budget())
 
+    previous = None
     for m in range(1, max_m + 1):
         n = p ** m
         tors = torsion_module(data, m)
@@ -576,8 +580,8 @@ def _verify_checks(data: DegenerationData, max_m: int,
             and nu.matrix == mu.mod(n))
         if m > 1:
             add(f"level reduction m={m}->{m - 1}",
-                tors.reduce_to(p ** (m - 1))
-                == torsion_module(data, m - 1))
+                tors.reduce_to(p ** (m - 1)) == previous)
+        previous = tors
         # three routes: the generic Smith form of mu mod p^m, the local
         # Smith form of mu and the invariant factors of mu
         kernel_route = kernel_mod_n(mu.mod(n), n)[0]
@@ -639,12 +643,11 @@ def _verify_checks(data: DegenerationData, max_m: int,
             detail = "composite presentation map mismatch"
             break
     add(f"pushout functoriality (seed {seed})", functorial, detail)
+    inclusion = sum_inclusion(obj, obj)
     add("split triple exact",
-        check_mp_exactness(sum_inclusion(obj, obj),
-                           sum_projection(obj, obj)))
+        check_mp_exactness(inclusion, sum_projection(obj, obj)))
     add("broken triple rejected",
-        not check_mp_exactness(sum_inclusion(obj, obj),
-                               _keep_first_block(obj)))
+        not check_mp_exactness(inclusion, _keep_first_block(obj)))
     return checks
 
 

@@ -18,6 +18,8 @@ must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import mul
 
 from .abelian import (
     FinAbGroup,
@@ -98,43 +100,38 @@ class PresentedModule:
     """Finitely presented abelian group: one relation row per relation,
     one column per generator.
 
-    Coordinates in the derived invariant-factor basis come from the
-    Smith decomposition of the relation matrix, so homomorphisms given
-    on generators can be transported to GroupHoms between the derived
-    groups.
+    The Smith form U * R * V = D of the relation matrix R gives the
+    derived invariant-factor basis.  Only the factors d > 1 are kept,
+    with their columns of V (a generator combination's coordinate is
+    its product with the column, mod d) and their rows of V^-1 (the
+    basis element in generators), so homomorphisms given on generators
+    can be transported to GroupHoms between the derived groups.
     """
 
-    labels: tuple[str, ...]
     relations: IntMatrix
     group: FinAbGroup = field(init=False, compare=False, repr=False)
-    _v: IntMatrix = field(init=False, compare=False, repr=False)
-    _vinv: IntMatrix = field(init=False, compare=False, repr=False)
-    _orders: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _columns: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _lifts: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.relations.cols != len(self.labels):
-            raise ShapeMismatch("one relation column per generator label")
         snf = smith_normal_form(self.relations)
         diag = list(snf.diagonal())
-        diag += [0] * (len(self.labels) - len(diag))
-        if any(d == 0 for d in diag):
+        diag += [0] * (self.relations.cols - len(diag))
+        if 0 in diag:
             raise BadInput("presentation has an infinite quotient")
+        kept = [j for j, d in enumerate(diag) if d > 1]
+        vinv = unimodular_inverse(snf.V)
         object.__setattr__(self, "group", FinAbGroup.of_orders(diag))
-        object.__setattr__(self, "_v", snf.V)
-        object.__setattr__(self, "_vinv", unimodular_inverse(snf.V))
-        object.__setattr__(self, "_orders", tuple(diag))
+        object.__setattr__(self, "_columns", tuple(snf.V.column(j) for j in kept))
+        object.__setattr__(self, "_lifts", tuple(vinv.row(j) for j in kept))
 
     def coords(self, vec) -> tuple[int, ...]:
         """Invariant-factor coordinates of an integer generator combination."""
-        if len(vec) != len(self.labels):
+        if len(vec) != self.relations.cols:
             raise ShapeMismatch("vector length disagrees with generator count")
-        n_gen = len(self.labels)
-        mixed = [
-            sum(vec[i] * self._v.entry(i, j) for i in range(n_gen))
-            for j in range(n_gen)
-        ]
         return tuple(
-            mixed[j] % d for j, d in enumerate(self._orders) if d > 1
+            sum(map(mul, vec, col)) % d
+            for col, d in zip(self._columns, self.group.invariant_factors)
         )
 
     def hom_to(self, other: "PresentedModule", gen_map: IntMatrix) -> GroupHom:
@@ -144,21 +141,16 @@ class PresentedModule:
         The caller must pass a map sending relations into relations;
         violations surface as order-respect failures.
         """
-        if gen_map.rows != len(other.labels) or gen_map.cols != len(self.labels):
+        if (gen_map.rows, gen_map.cols) != (other.relations.cols, self.relations.cols):
             raise ShapeMismatch("generator map shape disagrees with presentations")
-        cols = []
-        for i, d in enumerate(self._orders):
-            if d <= 1:
-                continue
-            lift = self._vinv.row(i)
-            image = [
-                sum(gen_map.entry(k, j) * lift[j] for j in range(len(self.labels)))
-                for k in range(len(other.labels))
-            ]
-            cols.append(other.coords(image))
-        matrix = IntMatrix.from_rows(
-            [[col[i] for col in cols] for i in range(other.group.rank)]
-        ) if cols else IntMatrix(other.group.rank, 0, ())
+        rows = gen_map.as_rows()
+        images = [
+            other.coords([sum(map(mul, row, lift)) for row in rows])
+            for lift in self._lifts
+        ]
+        rank = other.group.rank
+        matrix = IntMatrix(rank, len(images),
+                           tuple(image[i] for i in range(rank) for image in images))
         return GroupHom(self.group, other.group, matrix)
 
 
@@ -172,23 +164,24 @@ def middle_term_group(obj: ExtNuObject) -> FinAbGroup:
     return obj.mult_group.direct_sum(obj.etale_group)
 
 
+@lru_cache(maxsize=8)
 def mp_presentation(obj: ExtNuObject) -> PresentedModule:
     """Explicit presentation of the pushout's middle term.
 
-    Generators: a_j and b_j for the two standard coordinates of the
-    rank-2 building block tensored with the j-th etale generator, plus
+    Generators are the columns, in the order a_1..a_r, b_1..b_r,
+    c_1..c_s: a_j and b_j for the two standard coordinates of the
+    rank-2 building block tensored with the j-th etale generator, and
     c_i for the multiplicative part.  Relations: each generator is
     killed by its part's order, and a_j is glued to nu of the j-th
     etale generator.
+
+    A few recent presentations are kept by value, so equal objects (say
+    the a (+) a that an inclusion and a projection each build) share one
+    Smith form.
     """
     r, s = obj.etale_rank, obj.mult_rank
     e = obj.etale_group.invariant_factors
     o = obj.mult_group.invariant_factors
-    labels = (
-        tuple(f"a{j + 1}" for j in range(r))
-        + tuple(f"b{j + 1}" for j in range(r))
-        + tuple(f"c{i + 1}" for i in range(s))
-    )
     n_gen = 2 * r + s
     rows = diagonal_rows(e + e + o)
     for j in range(r):
@@ -197,7 +190,7 @@ def mp_presentation(obj: ExtNuObject) -> PresentedModule:
         for i in range(s):
             row[2 * r + i] = -obj.nu.matrix.entry(i, j)
         rows.append(row)
-    return PresentedModule(labels, IntMatrix.from_rows(rows))
+    return PresentedModule(IntMatrix.from_rows(rows))
 
 
 def mp_pushout(obj: ExtNuObject) -> ExtClass:

@@ -412,6 +412,47 @@ def test_verify_passes_on_tate_file(capsys):
     assert lines[-1].startswith("passed ")
 
 
+@pytest.mark.parametrize("level", ["0", "-2"])
+def test_verify_rejects_level_below_one_before_any_check(
+        capsys, monkeypatch, level):
+    import crystor.cli
+
+    def refuse(name):
+        def stub(*args, **kwargs):
+            raise AssertionError(f"{name} ran before --max-m was checked")
+        return stub
+
+    for name in ("r1crys1_tors", "les_report", "crys1_tate_module",
+                 "degeneration_object"):
+        monkeypatch.setattr(crystor.cli, name, refuse(name))
+    code, out, err = run_main(
+        capsys, ["verify", str(CORPUS / "t3_dense_p5.txt"), "--max-m", level])
+    assert code == 1
+    assert out == ""
+    assert err == "error: BadLevel: torsion level exponent must be at least 1\n"
+
+
+def test_verify_builds_each_presentation_once(capsys, monkeypatch):
+    # the pushout checks use two distinct objects, obj and obj ⊕ obj;
+    # each presents its middle term once, however many maps are
+    # transported through it and however many equal copies are built
+    from crystor.pushout import PresentedModule, mp_presentation
+
+    mp_presentation.cache_clear()
+    built = []
+    post_init = PresentedModule.__post_init__
+
+    def counting(self):
+        built.append(self.relations.cols)
+        post_init(self)
+
+    monkeypatch.setattr(PresentedModule, "__post_init__", counting)
+    code, out, _ = run_main(
+        capsys, ["verify", str(CORPUS / "t3_dense_p5.txt"), "--max-m", "3"])
+    assert code == 0 and "FAIL" not in out
+    assert 0 < len(built) <= 2
+
+
 def test_verify_seed_changes_echo_only(capsys):
     path = str(CORPUS / "tate_v01_p2.txt")
     code_a, out_a, _ = run_main(capsys, ["verify", path, "--seed", "7"])

@@ -46,22 +46,22 @@ def data_of(p, rows):
 
 
 def test_presented_diagonal_relations():
-    p = PresentedModule(("x", "y"), IntMatrix.from_rows([[2, 0], [0, 4]]))
+    p = PresentedModule(IntMatrix.from_rows([[2, 0], [0, 4]]))
     assert p.group == FinAbGroup.of_orders([2, 4])
 
 
 def test_presented_off_diagonal():
-    p = PresentedModule(("x", "y"), IntMatrix.from_rows([[2, 1], [1, 2]]))
+    p = PresentedModule(IntMatrix.from_rows([[2, 1], [1, 2]]))
     assert p.group == FinAbGroup.cyclic(3)
 
 
 def test_presented_infinite_quotient_rejected():
     with pytest.raises(BadInput):
-        PresentedModule(("x",), IntMatrix.from_rows([[0]]))
+        PresentedModule(IntMatrix.from_rows([[0]]))
 
 
 def test_presented_coords_round_trip():
-    p = PresentedModule(("x", "y"), IntMatrix.from_rows([[2, 0], [0, 4]]))
+    p = PresentedModule(IntMatrix.from_rows([[2, 0], [0, 4]]))
     gx, gy = p.coords([1, 0]), p.coords([0, 1])
     # the generators must generate: every element is a combination
     seen = set()
@@ -77,14 +77,14 @@ def test_presented_coords_round_trip():
 
 
 def test_presented_hom_transport_identity():
-    p = PresentedModule(("x", "y"), IntMatrix.from_rows([[2, 0], [0, 4]]))
+    p = PresentedModule(IntMatrix.from_rows([[2, 0], [0, 4]]))
     h = p.hom_to(p, IntMatrix.identity(2))
     assert h == GroupHom.identity(p.group)
 
 
 def test_presented_hom_transport_projection():
-    src = PresentedModule(("x", "y"), IntMatrix.from_rows([[4, 0], [0, 4]]))
-    dst = PresentedModule(("z",), IntMatrix.from_rows([[4]]))
+    src = PresentedModule(IntMatrix.from_rows([[4, 0], [0, 4]]))
+    dst = PresentedModule(IntMatrix.from_rows([[4]]))
     h = src.hom_to(dst, IntMatrix.from_rows([[1, 0]]))
     assert h.image()[0] == dst.group
     assert h.kernel()[0] == FinAbGroup.cyclic(4)
@@ -364,6 +364,46 @@ def test_pushout_functorial_on_composites(data):
     f = ExtNuMorphism(a, b, draw_mat(s, s), draw_mat(r, r))
     g = ExtNuMorphism(b, c, draw_mat(s, s), draw_mat(r, r))
     assert mp_hom(g.compose(f)) == mp_hom(g).compose(mp_hom(f))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_pushout_hom_is_natural_on_generators(data):
+    # mp_hom(f) sends the coordinates of each source generator to the
+    # coordinates of that generator's image under the generator map
+    n = data.draw(st.sampled_from([2, 3, 4, 9]))
+    rank = st.integers(1, 3)
+    draw_rows = lambda rows, cols: [
+        [data.draw(st.integers(0, n - 1)) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if data.draw(st.booleans()):
+        # with zero monodromy every pair of part maps is a morphism
+        sa, ra, sb, rb = (data.draw(rank) for _ in range(4))
+        a = free_obj(n, sa, ra, [[0] * ra for _ in range(sa)])
+        b = free_obj(n, sb, rb, [[0] * rb for _ in range(sb)])
+        f = ExtNuMorphism(a, b, IntMatrix.from_rows(draw_rows(sb, sa)),
+                          IntMatrix.from_rows(draw_rows(rb, ra)))
+    else:
+        # c0 + c1 * nu commutes with a square monodromy nu
+        r = data.draw(rank)
+        nu = draw_rows(r, r)
+        a = free_obj(n, r, r, nu)
+        c0, c1 = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+        poly = IntMatrix.from_rows(
+            [[(c0 * (i == j) + c1 * nu[i][j]) % n for j in range(r)]
+             for i in range(r)])
+        f = ExtNuMorphism(a, a, poly, poly)
+    src, dst = mp_presentation(f.source), mp_presentation(f.target)
+    h = mp_hom(f)
+    gen_map = mp_generator_map(f)
+    for j in range(gen_map.cols):
+        x = src.coords([int(k == j) for k in range(gen_map.cols)])
+        image = tuple(
+            sum(h.matrix.entry(i, k) * x[k] for k in range(len(x))) % d
+            for i, d in enumerate(h.target.invariant_factors)
+        )
+        assert image == dst.coords(gen_map.column(j))
 
 
 def test_generator_map_layout():
