@@ -606,7 +606,10 @@ def quotient_orders(sup_basis, sub_rows, dim: int) -> list[int]:
 
 def _chain_normalize(orders) -> tuple[int, ...]:
     # gcd/lcm exchanges preserve the group and converge to the chain form
-    ds = sorted(int(o) for o in orders if int(o) > 1)
+    ds = [int(o) for o in orders]
+    if any(d < 1 for d in ds):
+        raise ShapeMismatch("cyclic orders must be >= 1")
+    ds = sorted(d for d in ds if d > 1)
     changed = True
     while changed:
         changed = False
@@ -651,11 +654,12 @@ class FinAbGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FinAbGroup":
-        return cls((n,)) if n > 1 else _TRIVIAL
+        return cls.of_orders((n,))
 
     @classmethod
     def of_orders(cls, orders) -> "FinAbGroup":
-        """The direct sum of cyclic groups of the given orders."""
+        """The direct sum of cyclic groups of the given orders; an order
+        of 1 is the trivial factor and one below 1 raises ShapeMismatch."""
         factors = _chain_normalize(orders)
         return cls(factors) if factors else _TRIVIAL
 

@@ -59,7 +59,8 @@ class Crys1Report:
 
     ``generators`` are coordinate vectors of length 2t (x-part then
     y-part); ``generator_orders`` aligns with them, so the x-basis
-    contributes t generators of order n up front.
+    contributes t generators of order n up front.  Reports of one rank
+    t share their x-basis tuples (the same objects, from _x_lifts).
     """
 
     n: int
@@ -85,12 +86,14 @@ class Crys1Report:
         return " ⊕ ".join(f"Z/{d}" for d in self.generator_orders)
 
 
-def _x_lift(t: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(2 * t))
+@lru_cache(maxsize=32)
+def _x_lifts(t: int) -> tuple[tuple[int, ...], ...]:
+    """The t unit vectors x_1..x_t of Z^{2t}, built once per rank."""
+    return tuple((0,) * i + (1,) + (0,) * (2 * t - i - 1) for i in range(t))
 
 
 def _y_lift(t: int, vec, n: int) -> tuple[int, ...]:
-    return tuple(0 for _ in range(t)) + tuple(x % n for x in vec)
+    return (0,) * t + tuple(x % n for x in vec)
 
 
 def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
@@ -102,9 +105,7 @@ def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
     n = level_modulus(data.p, m)
     t = data.t
     ker, ys = data.local.kernel(m)
-    gens = tuple(_x_lift(t, i) for i in range(t)) + tuple(
-        _y_lift(t, g, n) for g in ys
-    )
+    gens = _x_lifts(t) + tuple(_y_lift(t, g, n) for g in ys)
     orders = (n,) * t + ker.invariant_factors
     group = FinAbGroup.of_orders(orders)
     is_full = all(x % n == 0 for x in data.mu.entries)
@@ -139,9 +140,7 @@ def oracle_crys1(data: DegenerationData, m: int) -> Crys1Report:
             current = subgroup_elements(tuple(picked), n, t)
 
     orders_y = _type_by_torsion_count(current, n, p, m, t)
-    gens = tuple(_x_lift(t, i) for i in range(t)) + tuple(
-        _y_lift(t, g, n) for g in picked
-    )
+    gens = _x_lifts(t) + tuple(_y_lift(t, g, n) for g in picked)
     gen_orders = (n,) * t + tuple(n // gcd(n, *g) for g in picked)
     group = FinAbGroup.of_orders((n,) * t + orders_y)
     return Crys1Report(n, t, gens, gen_orders, group, len(current) == n**t)

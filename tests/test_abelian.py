@@ -202,6 +202,17 @@ def test_group_normalization():
     assert FinAbGroup.of_orders([6, 4]).order == 24
 
 
+def test_group_rejects_orders_below_one():
+    # Z/0 is infinite and a negative order means nothing
+    for orders in ([0, 5], [-4, 6], [0]):
+        with pytest.raises(ShapeMismatch):
+            FinAbGroup.of_orders(orders)
+    for n in (0, -3):
+        with pytest.raises(ShapeMismatch):
+            FinAbGroup.cyclic(n)
+    assert FinAbGroup.cyclic(1) == FinAbGroup.trivial()
+
+
 def test_group_rejects_bad_chain():
     with pytest.raises(ShapeMismatch):
         FinAbGroup((4, 2))

@@ -91,6 +91,21 @@ def test_x_span_always_inside():
         assert lattice_solve(basis, e, 2 * rep.t) is not None
 
 
+def test_reports_of_one_rank_share_the_x_basis():
+    a = crys1_torsion(data_of(3, [[6, 3], [3, 12]]), 2)
+    b = crys1_torsion(data_of(3, [[9, 0], [0, 3]]), 1)
+    c = oracle_crys1(data_of(3, [[6, 3], [3, 12]]), 2)
+    for rep in (b, c):
+        for mine, shared in zip(rep.generators[:2], a.generators[:2]):
+            assert mine is shared
+    # sharing changes no value a caller sees
+    assert a.generators == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (0, 0, 3, 3))
+    assert a.generator_orders == (9, 9, 3, 3)
+    assert b.generators == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    assert c.generators == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 3), (0, 0, 3, 0))
+    assert a.group == c.group == FinAbGroup.of_orders([9, 9, 3, 3])
+
+
 # --- the oracle -------------------------------------------------------
 
 
