@@ -10,10 +10,13 @@ Both children work in this tree's root, so the corpus paths, and any
 error message naming them, are the same.  The list covers every
 subcommand over ``corpus/`` at m = 1..3, ``crys1 --oracle``, r1 and
 les at caps 1, 2, 12 and 20 and at their default, ``verify --max-m
-1..3 --seed 7``, 18 tate cases, ``tate --v 5 --m 1`` at five values of
-p that reach both branches of the prime test (strong pseudoprimes
-included), three levels whose modulus has more than 4,300 digits and a
-set of error cases, each with and without ``--json``.
+1..3 --seed 7``, ``les``, ``phi-check --m 3``, ``r1`` and
+``component-group`` on seeded positive-definite inputs with a 3-part
+at t = 8, 16 and 32 (written to a temporary directory), 18 tate cases,
+``tate --v 5 --m 1`` at five values of p that reach both branches of
+the prime test (strong pseudoprimes included), three levels whose
+modulus has more than 4,300 digits and a set of error cases, each with
+and without ``--json``.
 
 Prints the number of runs and every run whose stdout, stderr or exit
 code differ, and exits 1 if any do.  Stdlib only.
@@ -23,8 +26,10 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -43,7 +48,32 @@ PRIME_TEST_CASES = [
 ]
 
 
-def argument_lists() -> list[tuple[list[str], dict]]:
+# ranks of the seeded inputs: the corpus stops at t = 3
+SWEEP_RANKS = (8, 16, 32)
+
+
+def write_sweep_inputs(directory: Path) -> list[str]:
+    """Seeded positive-definite mu = U^T diag(s) U at p = 3, one file per
+    rank, with U unimodular and s_i = 3^e c (e in 0..3, c in 1, 2), so
+    the component group has a 3-part of several factors and the levels
+    m = 1..3 differ."""
+    paths = []
+    for t in SWEEP_RANKS:
+        rng = random.Random(f"compare-outputs:{t}")
+        s = [3 ** rng.randint(0, 3) * rng.choice((1, 2)) for _ in range(t)]
+        u = [[int(i == j) for j in range(t)] for i in range(t)]
+        for _ in range(t):
+            i, j = rng.sample(range(t), 2)
+            u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
+        mu = [[sum(u[k][i] * s[k] * u[k][j] for k in range(t)) for j in range(t)]
+              for i in range(t)]
+        path = directory / f"spd_t{t}_p3.txt"
+        path.write_text(f"p = 3\nt = {t}\nmu = {mu}\n")
+        paths.append(str(path))
+    return paths
+
+
+def argument_lists(sweep_paths) -> list[tuple[list[str], dict]]:
     """(argv, environment overrides) for every run, without --json."""
     runs = []
     for path in sorted((ROOT / "corpus").glob("*.txt")):
@@ -59,6 +89,9 @@ def argument_lists() -> list[tuple[list[str], dict]]:
             runs.append(([sub, f], {}))
             for cap in ("1", "2", "12", "20"):
                 runs.append(([sub, f, "--cap", cap], {}))
+    for f in sweep_paths:
+        runs += [(["les", f], {}), (["phi-check", f, "--m", "3"], {}),
+                 (["r1", f], {}), (["component-group", f], {})]
     for v, p, m in TATE_CASES:
         runs.append((["tate", "--v", str(v), "--p", str(p), "--m", str(m)], {}))
     for p in PRIME_TEST_CASES:
@@ -140,9 +173,11 @@ def main() -> int:
     if not (other / "src" / "crystor").is_dir():
         ap.error(f"{other} has no src/crystor")
 
-    runs = [(argv + extra, env)
-            for argv, env in argument_lists() for extra in ([], ["--json"])]
-    mine, theirs = run_tree(ROOT, runs), run_tree(other, runs)
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = [(argv + extra, env)
+                for argv, env in argument_lists(write_sweep_inputs(Path(tmp)))
+                for extra in ([], ["--json"])]
+        mine, theirs = run_tree(ROOT, runs), run_tree(other, runs)
     differ = 0
     for (argv, env), a, b in zip(runs, mine, theirs):
         if a == b:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -630,8 +631,10 @@ class FinAbGroup:
 
     The factors are each >= 2 and the trivial group is the empty tuple,
     so equality of values is equality of isomorphism classes.  Instances
-    are immutable and slotted; trivial() and of_orders() hand out one
-    shared trivial group.
+    are immutable and slotted.  of_orders() hands out shared instances:
+    equal factors give the same object while they stay among the 256
+    most recent, and the trivial group is always the one that trivial()
+    returns.
 
     >>> FinAbGroup.of_orders([4, 2, 6])
     FinAbGroup(invariant_factors=(2, 2, 12))
@@ -661,7 +664,7 @@ class FinAbGroup:
         """The direct sum of cyclic groups of the given orders; an order
         of 1 is the trivial factor and one below 1 raises ShapeMismatch."""
         factors = _chain_normalize(orders)
-        return cls(factors) if factors else _TRIVIAL
+        return _shared_group(factors) if factors else _TRIVIAL
 
     @property
     def order(self) -> int:
@@ -687,6 +690,10 @@ class FinAbGroup:
 
 
 _TRIVIAL = FinAbGroup(())
+# equal groups recur across inputs and levels, and a caller that keeps
+# many results then holds one instance of each; the trivial group stays
+# outside the cache, so eviction cannot split it
+_shared_group = lru_cache(maxsize=256)(FinAbGroup)
 
 
 def n_torsion(g: FinAbGroup, n: int) -> FinAbGroup:
@@ -812,18 +819,18 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def cokernel(m: IntMatrix) -> FinAbGroup:
-    """Z^t / (column span of m) for square nonsingular m.
+    """Z^t / (column span of m) for square nonsingular m, read off the
+    invariant factors by elimination modulo |det m|.
 
     >>> str(cokernel(IntMatrix.from_rows([[5]])))
     'Z/5'
     """
     if m.rows != m.cols:
         raise ShapeMismatch("cokernel needs a square matrix")
-    snf = smith_normal_form(m)
-    diag = snf.diagonal()
-    if any(d == 0 for d in diag):
+    det = abs(m.det())
+    if det == 0:
         raise SingularMatrix("matrix has determinant 0, so the cokernel is infinite")
-    return FinAbGroup.of_orders(diag)
+    return FinAbGroup.of_orders(invariant_factors_mod_det(m, det))
 
 
 def kernel_mod_n(m: IntMatrix, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:

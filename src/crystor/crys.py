@@ -20,13 +20,16 @@ data and computed independently of each other:
   are read off them.
 
 The checks compare deliberately independent routes: the crys1 quotient
-by the toric part (the local Smith form) against the component-group
-torsion (the invariant factors) in phi_formula_check and at every level
-of les_report, the crys1 route against brute-force evaluation of mu on
-every etale vector in oracle_crys1, and the stabilized finite-level
-chain against the p-primary part for the derived-functor torsion.
-Disagreement between routes is a bug, never tolerance: it raises
-RouteDisagreement or is reported as a failed check.
+by the toric part against the component-group torsion (the invariant
+factors) in phi_formula_check and at every level of les_report.  The
+quotient's type comes from a second Smith form over Z/p^m, of the
+crys1 y-generators themselves, not from the valuations of
+``data.local``.  The other routes are the crys1 route against
+brute-force evaluation of mu on every etale vector in oracle_crys1,
+and the stabilized finite-level chain against the p-primary part for
+the derived-functor torsion.  Disagreement between routes is a bug,
+never tolerance: it raises RouteDisagreement or is reported as a
+failed check.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ from math import gcd
 
 from .abelian import (
     FinAbGroup,
+    IntMatrix,
     diagonal_rows,
     hnf_rows,
     lattice_solve,
+    local_smith,
     n_torsion,
     p_primary_part,
     p_valuation,
-    quotient_orders,
     require_element_budget,
     require_prime,
     subgroup_elements,
@@ -191,23 +195,30 @@ def phi_n(data: DegenerationData, m: int) -> FinAbGroup:
     return n_torsion(component_group(data), n)
 
 
-def _toric_quotient(rep: Crys1Report) -> FinAbGroup:
+def _toric_quotient(rep: Crys1Report, p: int, m: int) -> FinAbGroup:
     """The maximal submodule modulo its toric part.
 
-    The x-span is a direct summand of the submodule's lattice, so the
-    quotient is the y-part lattice modulo n Z^t: the subgroup of
-    (Z/n)^t spanned by the y-parts of the generators.
+    The x-span is a direct summand of the submodule, so the quotient is
+    the subgroup of (Z/p^m)^t spanned by the y-parts of the generators
+    past the x-basis.  Its type is read off the Smith form over Z/p^m of
+    those y-parts, padded with zero rows to t x t (a crys1 report has
+    at most t of them): a valuation v contributes Z/p^(m - v).  This is
+    a Smith form of the generators, not of mu, so the check never
+    reuses the valuations of ``data.local``.
     """
     t = rep.t
-    n_rows = diagonal_rows((rep.n,) * t)
-    y_basis = hnf_rows([list(g[t:]) for g in rep.generators] + n_rows, t)
-    return FinAbGroup.of_orders(quotient_orders(y_basis, n_rows, t))
+    ys = [list(g[t:]) for g in rep.generators[t:]]
+    if not ys:
+        return FinAbGroup.trivial()
+    rows = ys + [[0] * t] * (t - len(ys))
+    loc = local_smith(IntMatrix.from_rows(rows), p, m)
+    return FinAbGroup.of_orders(p ** (m - v) for v in loc.valuations)
 
 
 def phi_formula_check(data: DegenerationData, m: int) -> tuple[FinAbGroup, bool]:
     """Quotient of the maximal submodule by the x-span, compared with
     the p^m-torsion of the component group."""
-    quotient = _toric_quotient(crys1_torsion(data, m))
+    quotient = _toric_quotient(crys1_torsion(data, m), data.p, m)
     return quotient, quotient == phi_n(data, m)
 
 
@@ -312,17 +323,17 @@ class LevelExactness:
         return self.orders_match and self.surjective
 
 
-@lru_cache(maxsize=256)
-def _level_exactness(m: int, orders_match: bool, surjective: bool) -> LevelExactness:
-    # a few values recur across inputs, and a caller that keeps many
-    # reports then holds one shared instance of each
-    return LevelExactness(m, orders_match, surjective)
+# a few values recur across inputs, and a caller that keeps many
+# reports then holds one shared instance of each
+_level_exactness = lru_cache(maxsize=256)(LevelExactness)
 
 
 @dataclass(frozen=True, slots=True)
 class LesReport:
     """Finite-level truncation of the long exact sequence of the
-    maximal-submodule functor on the Tate module."""
+    maximal-submodule functor on the Tate module.  les_report hands out
+    one instance per recent value, so equal reports of different inputs
+    are the same object."""
 
     cap: int
     stabilized_at: int
@@ -333,6 +344,10 @@ class LesReport:
     r1_torsion: FinAbGroup
     levels: tuple[LevelExactness, ...]
     exact: bool
+
+
+# equal reports recur across inputs with the same p-primary structure
+_shared_les = lru_cache(maxsize=256)(LesReport)
 
 
 def les_report(data: DegenerationData, cap: int = 12) -> LesReport:
@@ -351,11 +366,11 @@ def les_report(data: DegenerationData, cap: int = 12) -> LesReport:
         levels.append(_level_exactness(
             m,
             rep.group.order == rep.n**t * phi_m.order,
-            _toric_quotient(rep) == phi_m,
+            _toric_quotient(rep, data.p, m) == phi_m,
         ))
 
     exact = all(l.ok() for l in levels) and stable == r1
-    return LesReport(
+    return _shared_les(
         cap=cap,
         stabilized_at=stab_level,
         tate_rank=t,

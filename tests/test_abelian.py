@@ -202,6 +202,22 @@ def test_group_normalization():
     assert FinAbGroup.of_orders([6, 4]).order == 24
 
 
+def test_of_orders_shares_equal_groups():
+    a = FinAbGroup.of_orders([4, 2, 6])
+    assert a is FinAbGroup.of_orders([12, 2, 2])
+    assert a is FinAbGroup.of_orders((2, 2, 12))
+
+
+def test_trivial_group_survives_cache_eviction():
+    # more distinct groups than the cache keeps must not split the
+    # trivial group
+    for d in range(2, 302):
+        FinAbGroup.of_orders([d, d])
+    assert FinAbGroup.of_orders([]) is FinAbGroup.trivial()
+    assert FinAbGroup.of_orders([1, 1]) is FinAbGroup.trivial()
+    assert FinAbGroup.cyclic(1) is FinAbGroup.trivial()
+
+
 def test_group_rejects_orders_below_one():
     # Z/0 is infinite and a negative order means nothing
     for orders in ([0, 5], [-4, 6], [0]):

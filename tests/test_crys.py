@@ -227,6 +227,79 @@ def test_phi_formula_check_values():
     assert ok and q == FinAbGroup.of_orders([2, 4])
 
 
+# --- the toric quotient -----------------------------------------------
+
+
+def toric_quotient_by_hnf(rep):
+    """Reference route: the y-part lattice in HNF, then the integer Smith
+    form of n Z^t in its coordinates."""
+    from crystor.abelian import diagonal_rows, hnf_rows, quotient_orders
+
+    t = rep.t
+    n_rows = diagonal_rows((rep.n,) * t)
+    y_basis = hnf_rows([list(g[t:]) for g in rep.generators] + n_rows, t)
+    return FinAbGroup.of_orders(quotient_orders(y_basis, n_rows, t))
+
+
+@st.composite
+def crys1_shaped_reports(draw):
+    """A report of rank t <= 16 whose y-parts are any vectors mod p^m,
+    at most t of them as in crys1_torsion; entries are units times
+    powers of p, so spans of every type turn up."""
+    from crystor.crys import _x_lifts
+
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 6))
+    t = draw(st.integers(1, 16))
+    n = p**m
+    entry = st.builds(lambda c, e: c * p**e % n, st.integers(0, n - 1),
+                      st.integers(0, m))
+    ys = draw(st.lists(st.lists(entry, min_size=t, max_size=t), max_size=t))
+    gens = _x_lifts(t) + tuple((0,) * t + tuple(y) for y in ys)
+    orders = (n,) * t + tuple(n // gcd(n, *y) for y in ys)
+    rep = Crys1Report(n, t, gens, orders, FinAbGroup.trivial(), False)
+    return rep, p, m
+
+
+@given(crys1_shaped_reports())
+@settings(max_examples=150, deadline=None)
+def test_toric_quotient_matches_the_hnf_route(case):
+    from crystor.crys import _toric_quotient
+
+    rep, p, m = case
+    assert _toric_quotient(rep, p, m) == toric_quotient_by_hnf(rep)
+
+
+@pytest.mark.parametrize("fault", ["drop", "times_p"])
+@pytest.mark.parametrize("p, rows, m", [
+    (5, [[5]], 2),
+    (3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]], 2),
+    (2, [[2, 0], [0, 4]], 2),
+])
+def test_y_generator_fault_fails_the_level_checks(monkeypatch, fault, p, rows, m):
+    # a crys1 report that loses a y-generator, or keeps only p times one,
+    # spans too small a quotient, and both level checks must see it
+    from dataclasses import replace
+
+    import crystor.crys
+
+    real = crystor.crys.crys1_torsion
+
+    def faulty(data, level):
+        rep = real(data, level)
+        t = rep.t
+        *kept, last = rep.generators[t:]
+        if fault == "times_p":
+            kept.append(tuple(p * x % rep.n for x in last))
+        return replace(rep, generators=rep.generators[:t] + tuple(kept))
+
+    data = data_of(p, rows)
+    assert phi_formula_check(data, m)[1] and les_report(data).exact
+    monkeypatch.setattr(crystor.crys, "crys1_torsion", faulty)
+    assert phi_formula_check(data, m)[1] is False
+    assert les_report(data).exact is False
+
+
 # --- stabilization ----------------------------------------------------
 
 
@@ -266,16 +339,17 @@ def test_r1_equals_p_primary_random():
 # --- one Smith form of mu per input -----------------------------------
 
 
-def record_calls(monkeypatch, real) -> list:
-    """First arguments of every call to ``real``, wherever a crystor
-    module holds its own reference to the function."""
+def record_calls(monkeypatch, real, full=False) -> list:
+    """First arguments of every call to ``real`` (all positional
+    arguments when ``full``), wherever a crystor module holds its own
+    reference to the function."""
     import sys
 
     calls = []
 
-    def counted(first, *args, **kwargs):
-        calls.append(first)
-        return real(first, *args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args if full else args[0])
+        return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("crystor") and getattr(module, real.__name__, None) is real:
@@ -294,7 +368,7 @@ def test_one_smith_form_of_mu_per_input(snf_calls, monkeypatch):
     # the negative entries keep every mu mod p^m different from mu
     import crystor.abelian
 
-    locals_ = record_calls(monkeypatch, crystor.abelian.local_smith)
+    locals_ = record_calls(monkeypatch, crystor.abelian.local_smith, full=True)
     invariants = record_calls(monkeypatch, crystor.abelian.invariant_factors_mod_det)
     data = data_of(3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]])
     assert component_group(data) == FinAbGroup.cyclic(396)
@@ -307,7 +381,15 @@ def test_one_smith_form_of_mu_per_input(snf_calls, monkeypatch):
     reductions = {data.mu} | {data.mu.mod(3**m) for m in range(1, 41)}
     assert not any(m in reductions for m in snf_calls)
     # one decomposition of each kind for the whole input
-    assert locals_ == [data.mu] and invariants == [data.mu]
+    assert [args[0] for args in locals_].count(data.mu) == 1
+    assert invariants == [data.mu]
+    # every other local Smith form is of crys1 y-generators: t x t,
+    # entries reduced modulo the level's p^m
+    others = [args for args in locals_ if args[0] != data.mu]
+    assert others
+    for mat, p, m in others:
+        assert mat.rows == mat.cols == data.t
+        assert all(0 <= x < p**m for x in mat.entries)
 
 
 def test_no_kummer_objects_on_the_crys1_path(monkeypatch):
@@ -446,6 +528,14 @@ def test_les_rank_two():
     assert rep.exact
     assert rep.colimit_torsion == FinAbGroup.of_orders([2, 4])
     assert rep.r1_torsion == FinAbGroup.of_orders([2, 4])
+
+
+def test_equal_les_reports_are_one_object():
+    # Z/5 and Z/10 have the same 5-primary part, so every field agrees
+    a, b = data_of(5, [[5]]), data_of(5, [[10]])
+    assert component_group(a) != component_group(b)
+    assert les_report(a) is les_report(b)
+    assert les_report(a).levels[0] is les_report(b).levels[0]
 
 
 @pytest.mark.parametrize("cap", [1, 0, -5])
