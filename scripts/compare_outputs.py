@@ -12,7 +12,10 @@ subcommand over ``corpus/`` at m = 1..3, ``crys1 --oracle``, r1 and
 les at caps 1, 2, 12 and 20 and at their default, ``verify --max-m
 1..3 --seed 7``, ``les``, ``phi-check --m 3``, ``r1`` and
 ``component-group`` on seeded positive-definite inputs with a 3-part
-at t = 8, 16 and 32 (written to a temporary directory), 18 tate cases,
+at t = 8, 16 and 32, ``crys1 --oracle`` and ``verify --max-m 1`` on two
+seeded inputs at each large key (p, m, t) of the oracle-enum benchmark
+workload, ``crys1 --oracle`` with mu = 2I on (Z/2)^16 (all written to a
+temporary directory), 18 tate cases,
 ``tate --v 5 --m 1`` at five values of p that reach both branches of
 the prime test (strong pseudoprimes included), three levels whose
 modulus has more than 4,300 digits and a set of error cases, each with
@@ -51,29 +54,58 @@ PRIME_TEST_CASES = [
 # ranks of the seeded inputs: the corpus stops at t = 3
 SWEEP_RANKS = (8, 16, 32)
 
+# (p, m, t) of the seeded oracle inputs: the large keys of the oracle-enum
+# benchmark workload, each with p^(m t) <= 4096
+ORACLE_KEYS = ((2, 2, 5), (2, 3, 4), (3, 1, 6), (5, 1, 5))
+
+
+def seeded_mu(rng: random.Random, p: int, t: int, top: int) -> list[list[int]]:
+    """mu = U^T diag(s) U with s_i = p^e c (e in 0..top, c in 1, 2, or
+    1, 3 at p = 2) and U the identity after t seeded steps that each add
+    one row to another, with a random sign per entry."""
+    units = (1, 3) if p == 2 else (1, 2)
+    s = [p ** rng.randint(0, top) * rng.choice(units) for _ in range(t)]
+    u = [[int(i == j) for j in range(t)] for i in range(t)]
+    for _ in range(t):
+        i, j = rng.sample(range(t), 2)
+        u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
+    return [[sum(u[k][i] * s[k] * u[k][j] for k in range(t)) for j in range(t)]
+            for i in range(t)]
+
+
+def write_input(path: Path, p: int, mu) -> str:
+    path.write_text(f"p = {p}\nt = {len(mu)}\nmu = {mu}\n")
+    return str(path)
+
 
 def write_sweep_inputs(directory: Path) -> list[str]:
-    """Seeded positive-definite mu = U^T diag(s) U at p = 3, one file per
-    rank, with U unimodular and s_i = 3^e c (e in 0..3, c in 1, 2), so
-    the component group has a 3-part of several factors and the levels
-    m = 1..3 differ."""
-    paths = []
-    for t in SWEEP_RANKS:
-        rng = random.Random(f"compare-outputs:{t}")
-        s = [3 ** rng.randint(0, 3) * rng.choice((1, 2)) for _ in range(t)]
-        u = [[int(i == j) for j in range(t)] for i in range(t)]
-        for _ in range(t):
-            i, j = rng.sample(range(t), 2)
-            u[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(u[i], u[j])]
-        mu = [[sum(u[k][i] * s[k] * u[k][j] for k in range(t)) for j in range(t)]
-              for i in range(t)]
-        path = directory / f"spd_t{t}_p3.txt"
-        path.write_text(f"p = 3\nt = {t}\nmu = {mu}\n")
-        paths.append(str(path))
-    return paths
+    """Seeded inputs at p = 3, one file per rank in SWEEP_RANKS, with
+    e in 0..3, so the levels m = 1..3 differ."""
+    return [write_input(directory / f"spd_t{t}_p3.txt", 3,
+                        seeded_mu(random.Random(f"compare-outputs:{t}"), 3, t, 3))
+            for t in SWEEP_RANKS]
 
 
-def argument_lists(sweep_paths) -> list[tuple[list[str], dict]]:
+def write_oracle_inputs(directory: Path) -> list[tuple[str, int]]:
+    """(file, m): two seeded inputs per key of ORACLE_KEYS, with e in 0..m."""
+    runs = []
+    for p, m, t in ORACLE_KEYS:
+        for seed in (0, 1):
+            rng = random.Random(f"compare-outputs:oracle:{p}:{m}:{t}:{seed}")
+            path = directory / f"oracle_p{p}_m{m}_t{t}_{seed}.txt"
+            runs.append((write_input(path, p, seeded_mu(rng, p, t, m)), m))
+    return runs
+
+
+def write_budget_input(directory: Path) -> str:
+    """mu = 2I on (Z/2)^16: at m = 1 all 65,536 etale vectors are killed,
+    which fills the default enumeration budget."""
+    two = [[2 * int(i == j) for j in range(16)] for i in range(16)]
+    return write_input(directory / "twice_identity_t16_p2.txt", 2, two)
+
+
+def argument_lists(sweep_paths, oracle_inputs,
+                   budget_path) -> list[tuple[list[str], dict]]:
     """(argv, environment overrides) for every run, without --json."""
     runs = []
     for path in sorted((ROOT / "corpus").glob("*.txt")):
@@ -92,6 +124,10 @@ def argument_lists(sweep_paths) -> list[tuple[list[str], dict]]:
     for f in sweep_paths:
         runs += [(["les", f], {}), (["phi-check", f, "--m", "3"], {}),
                  (["r1", f], {}), (["component-group", f], {})]
+    for f, m in oracle_inputs:
+        runs.append((["crys1", f, "--m", str(m), "--oracle"], {}))
+        runs.append((["verify", f, "--max-m", "1", "--seed", "7"], {}))
+    runs.append((["crys1", budget_path, "--m", "1", "--oracle"], {}))
     for v, p, m in TATE_CASES:
         runs.append((["tate", "--v", str(v), "--p", str(p), "--m", str(m)], {}))
     for p in PRIME_TEST_CASES:
@@ -175,7 +211,9 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         runs = [(argv + extra, env)
-                for argv, env in argument_lists(write_sweep_inputs(Path(tmp)))
+                for argv, env in argument_lists(write_sweep_inputs(Path(tmp)),
+                                                write_oracle_inputs(Path(tmp)),
+                                                write_budget_input(Path(tmp)))
                 for extra in ([], ["--json"])]
         mine, theirs = run_tree(ROOT, runs), run_tree(other, runs)
     differ = 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt, prod
 from operator import mul
 
@@ -1140,18 +1141,33 @@ def _pivot_index(row) -> int:
     return next(i for i, x in enumerate(row) if x)
 
 
+def extend_span(elements: frozenset, g, n: int) -> frozenset:
+    """The subgroup of (Z/n)^dim spanned by the subgroup ``elements``
+    and one more vector ``g``.
+
+    With k the least positive integer such that k g lies in
+    ``elements``, the span is the disjoint union of the cosets
+    ``elements + j g`` for j = 0..k-1, so each element is built once.
+
+    >>> sorted(extend_span(frozenset({(0, 0), (2, 0)}), (1, 2), 4))
+    [(0, 0), (1, 2), (2, 0), (3, 2)]
+    """
+    g = tuple(x % n for x in g)
+    shifts = []
+    shift = g
+    while shift not in elements:
+        shifts.append(shift)
+        shift = tuple([(a + b) % n for a, b in zip(shift, g)])
+    if not shifts:
+        return elements
+    return frozenset(chain(elements, (
+        tuple([(a + b) % n for a, b in zip(e, s)])
+        for s in shifts for e in elements)))
+
+
 def subgroup_elements(gens, n: int, dim: int) -> frozenset:
     """All elements of the subgroup of (Z/n)^dim spanned by ``gens``."""
-    elems = {(0,) * dim}
+    elems = frozenset({(0,) * dim})
     for g in gens:
-        g = tuple(x % n for x in g)
-        if g in elems:
-            continue
-        multiples = []
-        cur = g
-        while cur != (0,) * dim:
-            multiples.append(cur)
-            cur = tuple((a + b) % n for a, b in zip(cur, g))
-        elems = {tuple((a + b) % n for a, b in zip(e, m))
-                 for e in elems for m in multiples} | elems
-    return frozenset(elems)
+        elems = extend_span(elems, g, n)
+    return elems

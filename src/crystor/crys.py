@@ -25,7 +25,8 @@ factors) in phi_formula_check and at every level of les_report.  The
 quotient's type comes from a second Smith form over Z/p^m, of the
 crys1 y-generators themselves, not from the valuations of
 ``data.local``.  The other routes are the crys1 route against
-brute-force evaluation of mu on every etale vector in oracle_crys1,
+brute-force evaluation of mu on every etale vector in oracle_crys1
+(one column of mu at a time, the span grown one generator at a time),
 and the stabilized finite-level chain against the p-primary part for
 the derived-functor torsion.  Disagreement between routes is a bug,
 never tolerance: it raises RouteDisagreement or is reported as a
@@ -34,6 +35,7 @@ failed check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -43,6 +45,7 @@ from .abelian import (
     FinAbGroup,
     IntMatrix,
     diagonal_rows,
+    extend_span,
     hnf_rows,
     lattice_solve,
     local_smith,
@@ -51,7 +54,6 @@ from .abelian import (
     p_valuation,
     require_element_budget,
     require_prime,
-    subgroup_elements,
 )
 from .degen import DegenerationData, level_modulus
 from .errors import BadInput, NotStabilized, RouteDisagreement
@@ -64,7 +66,9 @@ class Crys1Report:
     ``generators`` are coordinate vectors of length 2t (x-part then
     y-part); ``generator_orders`` aligns with them, so the x-basis
     contributes t generators of order n up front.  Reports of one rank
-    t share their x-basis tuples (the same objects, from _x_lifts).
+    t share their x-basis tuples (the same objects, from _x_lifts), and
+    recent equal y-generators and ``generator_orders`` are shared too,
+    across inputs and across the two routes.
     """
 
     n: int
@@ -96,8 +100,16 @@ def _x_lifts(t: int) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) * i + (1,) + (0,) * (2 * t - i - 1) for i in range(t))
 
 
+# y-generators and generator orders recur across inputs and across the
+# two routes; a caller that keeps many reports then holds one shared
+# tuple per recent value
+_shared_lift = lru_cache(maxsize=1024)(tuple)
+_shared_orders = lru_cache(maxsize=256)(tuple)
+
+
 def _y_lift(t: int, vec, n: int) -> tuple[int, ...]:
-    return (0,) * t + tuple(x % n for x in vec)
+    """The etale vector ``vec`` mod n as a generator of length 2t."""
+    return _shared_lift((0,) * t + tuple(x % n for x in vec))
 
 
 def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
@@ -110,7 +122,7 @@ def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
     t = data.t
     ker, ys = data.local.kernel(m)
     gens = _x_lifts(t) + tuple(_y_lift(t, g, n) for g in ys)
-    orders = (n,) * t + ker.invariant_factors
+    orders = _shared_orders((n,) * t + ker.invariant_factors)
     group = FinAbGroup.of_orders(orders)
     is_full = all(x % n == 0 for x in data.mu.entries)
     return Crys1Report(n, t, gens, orders, group, is_full)
@@ -120,47 +132,72 @@ def oracle_crys1(data: DegenerationData, m: int) -> Crys1Report:
     """Brute-force route: evaluate the monodromy on every etale vector.
 
     The maximal submodule is the x-span plus the lifts of every etale
-    vector that mu mod p^m kills.  Walking all n^t vectors in order,
-    each killed one outside the span so far is picked as a generator
-    and the span is recomputed element by element.  The abstract type
-    of the resulting y-part is read off by counting p^k-torsion
-    elements and the generator orders by gcds, so no Smith or Hermite
-    form is shared with the direct route.  Raises BudgetExceeded when
-    n^t exceeds enum_budget(), which CRYSTOR_ENUM_BUDGET sets, and
-    RouteDisagreement when the span's torsion counts are not powers of p.
+    vector v that mu mod p^m kills.  The images mu v mod n of the vectors
+    over the first t - 1 coordinates are built one column of mu at a
+    time, in ``product`` order; each is then tested against the n
+    multiples of the last column, a step that is streamed, so no list of
+    n^t images is held.  Each killed vector outside the span so far is
+    picked as a generator, and the span grows by that one generator
+    (abelian.extend_span).  The abstract type of the resulting y-part is
+    read off by counting p^k-torsion elements and the generator orders
+    by gcds, so no Smith or Hermite form is shared with the direct
+    route.  Raises BudgetExceeded when n^t exceeds enum_budget(), which
+    CRYSTOR_ENUM_BUDGET sets, and RouteDisagreement when the span's
+    torsion counts are not powers of p.
     """
     data.validate()
     p, t = data.p, data.t
     n = level_modulus(p, m)
     require_element_budget(n, t)
 
-    mu_rows = data.mu.as_rows()
-    picked: list[tuple[int, ...]] = []
-    current = frozenset({(0,) * t})
-    for vec in product(range(n), repeat=t):
-        killed = all(sum(r[j] * vec[j] for j in range(t)) % n == 0 for r in mu_rows)
-        if killed and vec not in current:
-            picked.append(vec)
-            current = subgroup_elements(tuple(picked), n, t)
+    cols = data.mu.as_rows()  # mu is symmetric: its rows are its columns
+    images = [(0,) * t]
+    for col in cols[:-1]:
+        steps = _column_multiples(col, n)
+        images = [_add_mod(img, step, n) for img in images for step in steps]
+    last = _column_multiples(cols[-1], n)
+    zero = (0,) * t
 
-    orders_y = _type_by_torsion_count(current, n, p, m, t)
+    picked: list[tuple[int, ...]] = []
+    current = frozenset({zero})
+    for head, img in zip(product(range(n), repeat=t - 1), images):
+        for k, step in enumerate(last):
+            if _add_mod(img, step, n) == zero:
+                vec = head + (k,)
+                if vec not in current:
+                    picked.append(vec)
+                    current = extend_span(current, vec, n)
+    del images  # before the pass over the span
+
+    orders_y = _type_by_torsion_count(current, n, p, m)
     gens = _x_lifts(t) + tuple(_y_lift(t, g, n) for g in picked)
-    gen_orders = (n,) * t + tuple(n // gcd(n, *g) for g in picked)
+    gen_orders = _shared_orders((n,) * t + tuple(n // gcd(n, *g) for g in picked))
     group = FinAbGroup.of_orders((n,) * t + orders_y)
     return Crys1Report(n, t, gens, gen_orders, group, len(current) == n**t)
 
 
-def _type_by_torsion_count(elements, n: int, p: int, m: int, t: int) -> tuple[int, ...]:
+def _column_multiples(col, n: int) -> list[tuple[int, ...]]:
+    """k * col mod n for k = 0..n-1."""
+    return [tuple([k * c % n for c in col]) for k in range(n)]
+
+
+def _add_mod(a, b, n: int) -> tuple[int, ...]:
+    """a + b mod n, coordinatewise."""
+    return tuple([(x + y) % n for x, y in zip(a, b)])
+
+
+def _type_by_torsion_count(elements, n: int, p: int, m: int) -> tuple[int, ...]:
     """Invariant factors of a subgroup of (Z/n)^t from its p^k-torsion
     counts: lambda_k = log_p #S[p^k] has increments counting the cyclic
-    factors of order at least p^k.  A count that is not a power of p
+    factors of order at least p^k.  One pass over the elements makes a
+    histogram of their orders n / gcd(n, e); #S[p^k] is the number of
+    elements whose order divides p^k.  A count that is not a power of p
     means the elements are not a subgroup: RouteDisagreement."""
+    by_order = Counter(n // gcd(n, *e) for e in elements)
     lam = []
     for k in range(m + 1):
         pk = p**k
-        count = sum(
-            1 for e in elements if all((x * pk) % n == 0 for x in e)
-        )
+        count = sum(c for o, c in by_order.items() if pk % o == 0)
         exponent = 0
         while p ** (exponent + 1) <= count:
             exponent += 1

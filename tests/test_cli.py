@@ -316,11 +316,13 @@ def test_route_disagreement_exit_two(capsys, monkeypatch):
 
 def test_oracle_non_subgroup_span_exit_two(capsys, monkeypatch):
     # a span that is not a subgroup has torsion counts that are not
-    # powers of p; the oracle reports it as a route disagreement
+    # powers of p; the oracle reports it as a route disagreement.  The
+    # faulty one-generator step keeps the new vector but drops its
+    # multiples and everything spanned before it.
     import crystor.crys
 
-    monkeypatch.setattr(crystor.crys, "subgroup_elements",
-                        lambda gens, n, dim: frozenset({(0,) * dim, gens[0]}))
+    monkeypatch.setattr(crystor.crys, "extend_span",
+                        lambda elements, g, n: frozenset({(0,) * len(g), g}))
     code, out, err = run_main(
         capsys, ["crys1", str(CORPUS / "tate_v05_p5.txt"), "--m", "1", "--oracle"])
     assert code == 2

@@ -1,6 +1,7 @@
 """Maximal submodule computations against frozen values and the
 independent enumeration oracle."""
 
+from itertools import product
 from math import gcd
 
 import pytest
@@ -145,9 +146,105 @@ def test_oracle_type_rejects_a_non_subgroup():
     # {0, 1, 2} in Z/4 has three 4-torsion elements, not a power of 2
     from crystor.crys import _type_by_torsion_count
 
-    assert _type_by_torsion_count({(0,), (2,)}, 4, 2, 2, 1) == (2,)
+    assert _type_by_torsion_count({(0,), (2,)}, 4, 2, 2) == (2,)
     with pytest.raises(RouteDisagreement, match="not a power of 2"):
-        _type_by_torsion_count({(0,), (1,), (2,)}, 4, 2, 2, 1)
+        _type_by_torsion_count({(0,), (1,), (2,)}, 4, 2, 2)
+
+
+def test_oracle_type_counts_mixed_orders_in_one_pass():
+    # Z/4 + Z/2 inside (Z/4)^2: elements of order 1, 2 and 4, so the
+    # 2-torsion count (4) differs from the 4-torsion count (8)
+    from crystor.crys import _type_by_torsion_count
+
+    elements = {(a, 2 * b) for a in range(4) for b in range(2)}
+    assert _type_by_torsion_count(elements, 4, 2, 2) == (2, 4)
+    # the order-2 elements alone form (Z/2)^2
+    assert _type_by_torsion_count({(0, 0), (2, 0), (0, 2), (2, 2)}, 4, 2, 2) == (2, 2)
+
+
+def reference_oracle(data, m):
+    """The oracle walk as first written, kept as the reference for the
+    column-at-a-time walk: mu is evaluated row by row on each vector,
+    the span is recomputed from scratch after each pick, and the type is
+    read off one pass over the span per torsion level."""
+    p, t = data.p, data.t
+    n = p**m
+    rows = data.mu.as_rows()
+    zero = (0,) * t
+    picked = []
+    span = {zero}
+    for vec in product(range(n), repeat=t):
+        killed = all(sum(r[j] * vec[j] for j in range(t)) % n == 0 for r in rows)
+        if killed and vec not in span:
+            picked.append(vec)
+            span = {zero}
+            for g in picked:
+                multiples, cur = [], g
+                while cur != zero:
+                    multiples.append(cur)
+                    cur = tuple((a + b) % n for a, b in zip(cur, g))
+                span |= {tuple((a + b) % n for a, b in zip(e, c))
+                         for e in span for c in multiples}
+    lam = []
+    for k in range(m + 1):
+        count = sum(1 for e in span if all(x * p**k % n == 0 for x in e))
+        exponent = 0
+        while p**exponent < count:
+            exponent += 1
+        lam.append(exponent)
+    delta = [lam[k] - lam[k - 1] for k in range(1, m + 1)] + [0]
+    orders_y = [p**k for k in range(1, m + 1) for _ in range(delta[k - 1] - delta[k])]
+    x = tuple(tuple(int(i == j) for j in range(2 * t)) for i in range(t))
+    gens = x + tuple((0,) * t + g for g in picked)
+    gen_orders = (n,) * t + tuple(n // gcd(n, *g) for g in picked)
+    group = FinAbGroup.of_orders((n,) * t + tuple(orders_y))
+    return gens, gen_orders, group, len(span) == n**t
+
+
+@st.composite
+def oracle_inputs(draw):
+    """(data, m) with n^t <= 4096 (t <= 8 at p = 2) and mu = U^T diag(s) U,
+    U unimodular and s_i = p^e c, so mu mod p^m has kernels of every type."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, {2: 4, 3: 3, 5: 2, 7: 2}[p]))
+    n = p**m
+    t = draw(st.integers(1, max(k for k in range(1, 9) if n**k <= 4096)))
+    s = [p ** draw(st.integers(0, m)) * draw(st.sampled_from([1, p + 1]))
+         for _ in range(t)]
+    u = [[int(i == j) for j in range(t)] for i in range(t)]
+    if t > 1:
+        for _ in range(draw(st.integers(0, 2 * t))):
+            i = draw(st.integers(0, t - 1))
+            j = draw(st.integers(0, t - 2))
+            j += j >= i
+            sign = draw(st.sampled_from([-1, 1]))
+            u[i] = [a + sign * b for a, b in zip(u[i], u[j])]
+    mu = [[sum(u[k][i] * s[k] * u[k][j] for k in range(t)) for j in range(t)]
+          for i in range(t)]
+    return data_of(p, mu), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_inputs())
+def test_oracle_matches_the_reference_walk(case):
+    data, m = case
+    rep = oracle_crys1(data, m)
+    gens, gen_orders, group, is_full = reference_oracle(data, m)
+    assert rep.generators == gens
+    assert rep.generator_orders == gen_orders
+    assert rep.group == group
+    assert rep.is_full == is_full
+
+
+def test_equal_lifts_and_orders_are_one_object_across_routes():
+    direct = crys1_torsion(data_of(3, [[9, 0], [0, 3]]), 1)
+    oracle = oracle_crys1(data_of(3, [[3, 0], [0, 6]]), 1)
+    assert direct.generators == oracle.generators == (
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    assert direct.generator_orders == oracle.generator_orders == (3, 3, 3, 3)
+    for mine, shared in zip(oracle.generators[2:], direct.generators[2:]):
+        assert mine is shared
+    assert oracle.generator_orders is direct.generator_orders
 
 
 def test_oracle_enumerates_no_subgroups(monkeypatch):
