@@ -1,9 +1,13 @@
 """Regenerate the golden machine reports under tests/golden/.
 
 Run from the repository root after any deliberate change to report
-payloads or corpus files, then review the diff before committing.
+payloads or corpus files, then review the diff before committing.  The
+cases are the ones tests/test_cli.py checks: tests/golden/cases.json
+maps each golden file to its argument list, with corpus paths relative
+to the repository root.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -14,26 +18,13 @@ from crystor.cli import run_command
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-CASES = {
-    "tate_v5_p5_m2.json": ["tate", "--v", "5", "--p", "5", "--m", "2"],
-    "component_group_tate_v12.json": [
-        "component-group", "corpus/tate_v12_p2.txt", "--p-part"],
-    "crys1_t2_hilbert_m1.json": [
-        "crys1", "corpus/t2_hilbert_p3.txt", "--m", "1", "--oracle"],
-    "torsion_tate_v06_m2.json": [
-        "torsion", "corpus/tate_v06_p3.txt", "--m", "2"],
-    "phi_check_t3_chain_m2.json": [
-        "phi-check", "corpus/t3_chain_p2.txt", "--m", "2"],
-    "les_t2_diag.json": ["les", "corpus/t2_diag_p2.txt"],
-}
-
 
 def main() -> int:
     import os
 
     os.chdir(ROOT)
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, argv in CASES.items():
+    cases = json.loads((GOLDEN / "cases.json").read_text())
+    for name, argv in cases.items():
         report, code = run_command(argv)
         if code != 0:
             print(f"refusing to freeze a failing run: {argv} -> {code}")

@@ -3,10 +3,10 @@
 Everything in this module is exact: matrices hold arbitrary-precision
 Python integers and finite abelian groups are kept in invariant-factor
 form d_1 | d_2 | ... | d_k with every d_i >= 2 (the trivial group is the
-empty list).  The workhorses are Smith normal form with its unimodular
-transforms (over Z or Z/n), its diagonal alone by elimination modulo
-the determinant, the Smith form over the local ring Z/p^k, and a
-row-style Hermite normal form; on top of them sit kernels, cokernels,
+empty list).  The workhorses are Smith normal form with its transforms
+U, V and V^-1 from one pass (over Z or Z/n), its diagonal alone by
+elimination modulo the determinant, the Smith form over the local ring
+Z/p^k, and a row-style Hermite normal form; on top of them sit kernels, cokernels,
 torsion and primary parts, exactness tests, an exhaustive subgroup
 enumerator, and the primality test that `require_prime` applies to p.
 
@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 
 from .errors import (
@@ -171,11 +171,13 @@ def diagonal_rows(entries) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U * M * V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)."""
+    """U * M * V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)
+    (modulo n for a Smith form over Z/n), and Vinv = V^-1."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    Vinv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.D.rows, self.D.cols)
@@ -187,27 +189,35 @@ def smith_normal_form(m: IntMatrix, modulus: int | None = None) -> SnfResult:
 
     Pivoting rule: at each stage the pivot is the nonzero entry of the
     working submatrix with smallest absolute value, ties broken by
-    row-major position.  The output is therefore deterministic.
+    row-major position, so the scan stops at a unit.  The output is
+    therefore deterministic.  V^-1 takes a row step for each column step
+    on V: col_dst += q * col_src becomes row_src -= q * row_dst.
 
     With a ``modulus`` n every entry, of the transforms too, is kept
     reduced into [0, n): the result is a Smith form over Z/n, with
-    U * M * V = D modulo n, and no entry outgrows n.
+    U * M * V = D and V * V^-1 = I modulo n, and no entry outgrows n.
 
     >>> r = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 4]]))
     >>> r.diagonal()
     (2, 4)
     >>> r = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]))
-    >>> r.diagonal()
-    (1, 3)
+    >>> r.diagonal(), r.V.mul(r.Vinv) == IntMatrix.identity(2)
+    ((1, 3), True)
     """
     if m.rows == 0 or m.cols == 0:
         raise ShapeMismatch("Smith normal form of an empty matrix")
     nr, nc = m.rows, m.cols
     a = [list(m.row(i)) for i in range(nr)]
     u = diagonal_rows((1,) * nr)
-    v = diagonal_rows((1,) * nc)
+    v = diagonal_rows((1,) * nc)  # v[j] is column j of V
+    vinv = diagonal_rows((1,) * nc)
     if modulus:
         a = [[x % modulus for x in row] for row in a]
+
+    def combine(x, y, q):  # x + q * y, reduced when there is a modulus
+        if modulus:
+            return [(s + q * t) % modulus for s, t in zip(x, y)]
+        return [s + q * t for s, t in zip(x, y)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -216,37 +226,23 @@ def smith_normal_form(m: IntMatrix, modulus: int | None = None) -> SnfResult:
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(dst, src, q):
-        # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-        if modulus:
-            a[dst] = [x % modulus for x in a[dst]]
-            u[dst] = [x % modulus for x in u[dst]]
-
-    def add_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        if modulus:
-            for row in a:
-                row[dst] %= modulus
-            for row in v:
-                row[dst] %= modulus
+        a[dst] = combine(a[dst], a[src], q)
+        u[dst] = combine(u[dst], u[src], q)
 
     for k in range(min(nr, nc)):
         # pick pivot: smallest |entry| != 0, row-major ties
         piv = None
         best = None
         for i in range(k, nr):
-            for j in range(k, nc):
-                x = a[i][j]
+            for j, x in enumerate(a[i][k:], k):
                 if x and (best is None or abs(x) < best):
                     piv, best = (i, j), abs(x)
+            if best == 1:
+                break
         if piv is None:
             break
         if piv[0] != k:
@@ -271,18 +267,23 @@ def smith_normal_form(m: IntMatrix, modulus: int | None = None) -> SnfResult:
                         break
             if dirty:
                 continue
-            # clear row k right of the pivot
+            # clear row k right of the pivot; column k is now zero off the
+            # pivot, so a column step changes a only in row k
             for j in range(k + 1, nc):
                 if a[k][j]:
                     q = a[k][j] // d
                     if q:
-                        add_col(j, k, -q)
+                        a[k][j] -= q * d
+                        v[j] = combine(v[j], v[k], -q)
+                        vinv[k] = combine(vinv[k], vinv[j], q)
                     if a[k][j]:
                         swap_cols(k, j)
                         dirty = True
                         break
             if dirty:
                 continue
+            if d == 1:
+                break  # a unit divides everything
             # enforce d | every remaining entry, else fold that row in
             offender = None
             for i in range(k + 1, nr):
@@ -296,9 +297,10 @@ def smith_normal_form(m: IntMatrix, modulus: int | None = None) -> SnfResult:
                 break
             add_row(k, offender, 1)
 
-    return SnfResult(
-        IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
-    )
+    return SnfResult(*(
+        IntMatrix(len(rows), len(rows[0]), tuple(chain.from_iterable(rows)))
+        for rows in (u, a, list(zip(*v)), vinv)
+    ))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -572,34 +574,27 @@ def lattice_solve(basis, vec, dim: int):
     return coords if not any(v) else None
 
 
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    n = m.rows
-    ident = diagonal_rows((1,) * n)
-    aug = hnf_rows([list(m.row(i)) + ident[i] for i in range(n)], n)
-    # HNF of a unimodular matrix is the identity; passengers hold the inverse
-    inv = [r[n:] for r in aug]
-    return IntMatrix.from_rows(inv)
+def quotient_orders(sup_basis, orders) -> list[int]:
+    """Cyclic orders presenting (lattice of sup_basis) / (⊕ e_i Z), the
+    e_i being ``orders``, by a Smith form over Z/n, n = lcm(e_i).
 
+    ``sup_basis`` must be a full-rank HNF basis whose lattice contains
+    every e_i times the i-th unit vector.
 
-def quotient_orders(sup_basis, sub_rows, dim: int) -> list[int]:
-    """Cyclic orders presenting (lattice of sup_basis) / (lattice of sub_rows).
-
-    ``sup_basis`` must be a full-rank HNF basis whose lattice contains the
-    span of ``sub_rows``.
+    >>> quotient_orders(hnf_rows([[2, 1], [0, 3]], 2), (6, 6))
+    [1, 6]
     """
+    if not orders:
+        return []
+    n, dim = lcm(*orders), len(orders)
     coords = []
-    for r in sub_rows:
-        c = lattice_solve(sup_basis, r, dim)
+    for i, e in enumerate(orders):
+        c = lattice_solve(sup_basis, [e * (j == i) for j in range(dim)], dim)
         if c is None:
             raise ShapeMismatch("sublattice is not contained in the overlattice")
         coords.append(c)
-    if not coords:
-        return [0] * len(sup_basis)
-    snf = smith_normal_form(IntMatrix.from_rows(coords))
-    diag = list(snf.diagonal())
-    diag += [0] * (len(sup_basis) - len(diag))
-    return diag
+    snf = smith_normal_form(IntMatrix.from_rows(coords), modulus=n)
+    return [gcd(d, n) for d in snf.diagonal()]
 
 
 # ---------------------------------------------------------------------------
@@ -942,14 +937,15 @@ class GroupHom:
             return []
         if l == 0:
             return hnf_rows(diagonal_rows((1,) * k), k)
-        # solve B x ≡ 0 mod E: integer kernel of [B | E], projected to x
-        rel = diagonal_rows(self.target.invariant_factors)
-        stacked = IntMatrix.from_rows(
-            [list(self.matrix.row(i)) + rel[i] for i in range(l)]
+        # B_i x ≡ 0 mod e_i is (n / e_i) B_i x ≡ 0 mod n, n = lcm(e_i); the
+        # source orders lie in that kernel, since the map respects them
+        n = lcm(*self.target.invariant_factors)
+        scaled = IntMatrix.from_rows(
+            [[n // e * x for x in self.matrix.row(i)]
+             for i, e in enumerate(self.target.invariant_factors)]
         )
-        snf = smith_normal_form(stacked)
-        members = [list(snf.V.column(j)[:k]) for j in range(l, k + l)]
-        return hnf_rows(members + diagonal_rows(self.source.invariant_factors), k)
+        members = kernel_mod_n(scaled, n)[1]
+        return hnf_rows([*members, *diagonal_rows((n,) * k)], k)
 
     def kernel(self) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
         basis = self.kernel_lattice()
@@ -961,8 +957,7 @@ class GroupHom:
 
     @staticmethod
     def _subgroup_from_lattice(basis, ambient: FinAbGroup):
-        dim = ambient.rank
-        orders = quotient_orders(basis, diagonal_rows(ambient.invariant_factors), dim)
+        orders = quotient_orders(basis, ambient.invariant_factors)
         group = FinAbGroup.of_orders(orders)
         gens = []
         for row in basis:
@@ -1033,14 +1028,13 @@ def _extension_tails(n: int, d: int, basis, dim: int):
     c = n // d
     w = IntMatrix.from_rows(basis)
     snf = smith_normal_form(w)
-    vinv = unimodular_inverse(snf.V)
     diag = snf.diagonal()
     # in V-coordinates the lattice is diag(d_i)Z^dim, so the stretch factors
     # of the preimage under multiplication by c are d_i / gcd(d_i, c)
     m_rows = []
     for i in range(dim):
         k = diag[i] // gcd(diag[i], c)
-        m_rows.append([k * x for x in vinv.row(i)])
+        m_rows.append([k * x for x in snf.Vinv.row(i)])
     m_basis = hnf_rows(m_rows, dim)
     ratios = [basis[i][i] // m_basis[i][i] for i in range(dim)]
     reps = []

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
+from math import gcd, lcm
 
 from .abelian import (
     FinAbGroup,
@@ -29,7 +29,6 @@ from .abelian import (
     is_exact,
     kernel_mod_n,
     smith_normal_form,
-    unimodular_inverse,
 )
 from .degen import DegenerationData, raynaud_decompose
 from .errors import BadInput, NotAMorphism, RouteDisagreement, ShapeMismatch
@@ -97,42 +96,53 @@ def degeneration_object(data: DegenerationData, m: int) -> ExtNuObject:
 
 @dataclass(frozen=True)
 class PresentedModule:
-    """Finitely presented abelian group: one relation row per relation,
-    one column per generator.
+    """Finitely presented finite abelian group: generator j has order
+    ``orders[j]``, and each row of ``relations`` is one more relation.
 
-    The Smith form U * R * V = D of the relation matrix R gives the
-    derived invariant-factor basis.  Only the factors d > 1 are kept,
-    with their columns of V (a generator combination's coordinate is
-    its product with the column, mod d) and their rows of V^-1 (the
-    basis element in generators), so homomorphisms given on generators
-    can be transported to GroupHoms between the derived groups.
+    Every order divides n = lcm(orders), so the Smith form U * R * V = D
+    modulo n of the relation matrix gives the derived basis, a factor
+    Z/gcd(d_j, n) per column.  Only the factors above 1 are kept, with
+    their columns of V (a generator combination's coordinate is its
+    product with the column, mod the factor) and their rows of V^-1 (the
+    basis element in generators), both as (index, value) pairs of their
+    nonzero entries.  So homomorphisms given on generators are
+    transported to GroupHoms between the derived groups at a cost that
+    grows with those entries.
     """
 
-    relations: IntMatrix
+    orders: tuple[int, ...]
+    relations: tuple[tuple[int, ...], ...] = ()
     group: FinAbGroup = field(init=False, compare=False, repr=False)
-    _columns: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    _lifts: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    # the kept V columns by generator: entry i holds (k, V[i][j]), j kept k-th
+    _coords: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, compare=False, repr=False)
+    _lifts: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        snf = smith_normal_form(self.relations)
-        diag = list(snf.diagonal())
-        diag += [0] * (self.relations.cols - len(diag))
-        if 0 in diag:
+        if any(o < 1 for o in self.orders):
             raise BadInput("presentation has an infinite quotient")
-        kept = [j for j, d in enumerate(diag) if d > 1]
-        vinv = unimodular_inverse(snf.V)
-        object.__setattr__(self, "group", FinAbGroup.of_orders(diag))
-        object.__setattr__(self, "_columns", tuple(snf.V.column(j) for j in kept))
-        object.__setattr__(self, "_lifts", tuple(vinv.row(j) for j in kept))
+        n = lcm(*self.orders)
+        # the relations go first: their unit entries make the first pivots
+        rows = [*self.relations, *diagonal_rows(self.orders)]
+        snf = smith_normal_form(IntMatrix.from_rows(rows), modulus=n)
+        factors = [gcd(d, n) for d in snf.diagonal()]
+        kept = [j for j, d in enumerate(factors) if d > 1]
+        object.__setattr__(self, "group", FinAbGroup.of_orders(factors))
+        object.__setattr__(self, "_coords", tuple(
+            _nonzero(snf.V.entry(i, j) for j in kept) for i in range(snf.V.rows)))
+        object.__setattr__(self, "_lifts", tuple(_nonzero(snf.Vinv.row(j)) for j in kept))
 
     def coords(self, vec) -> tuple[int, ...]:
         """Invariant-factor coordinates of an integer generator combination."""
-        if len(vec) != self.relations.cols:
+        if len(vec) != len(self.orders):
             raise ShapeMismatch("vector length disagrees with generator count")
-        return tuple(
-            sum(map(mul, vec, col)) % d
-            for col, d in zip(self._columns, self.group.invariant_factors)
-        )
+        acc = [0] * self.group.rank
+        for x, pairs in zip(vec, self._coords):
+            if x:
+                for k, y in pairs:
+                    acc[k] += x * y
+        return tuple(c % d for c, d in zip(acc, self.group.invariant_factors))
 
     def hom_to(self, other: "PresentedModule", gen_map: IntMatrix) -> GroupHom:
         """Transport a generator-level map (column j = image of our
@@ -141,17 +151,19 @@ class PresentedModule:
         The caller must pass a map sending relations into relations;
         violations surface as order-respect failures.
         """
-        if (gen_map.rows, gen_map.cols) != (other.relations.cols, self.relations.cols):
+        if (gen_map.rows, gen_map.cols) != (len(other.orders), len(self.orders)):
             raise ShapeMismatch("generator map shape disagrees with presentations")
         rows = gen_map.as_rows()
-        images = [
-            other.coords([sum(map(mul, row, lift)) for row in rows])
-            for lift in self._lifts
-        ]
+        images = [other.coords([sum(x * row[j] for j, x in lift) for row in rows])
+                  for lift in self._lifts]
         rank = other.group.rank
         matrix = IntMatrix(rank, len(images),
                            tuple(image[i] for i in range(rank) for image in images))
         return GroupHom(self.group, other.group, matrix)
+
+
+def _nonzero(vec) -> tuple[tuple[int, int], ...]:
+    return tuple((i, x) for i, x in enumerate(vec) if x)
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +191,12 @@ def mp_presentation(obj: ExtNuObject) -> PresentedModule:
     the a (+) a that an inclusion and a projection each build) share one
     Smith form.
     """
-    r, s = obj.etale_rank, obj.mult_rank
+    r = obj.etale_rank
     e = obj.etale_group.invariant_factors
     o = obj.mult_group.invariant_factors
-    n_gen = 2 * r + s
-    rows = diagonal_rows(e + e + o)
-    for j in range(r):
-        row = [0] * n_gen
-        row[j] = 1
-        for i in range(s):
-            row[2 * r + i] = -obj.nu.matrix.entry(i, j)
-        rows.append(row)
-    return PresentedModule(IntMatrix.from_rows(rows))
+    glue = [[int(k == j) for k in range(2 * r)] + [-x for x in obj.nu.matrix.column(j)]
+            for j in range(r)]
+    return PresentedModule(e + e + o, glue)
 
 
 def mp_pushout(obj: ExtNuObject) -> ExtClass:

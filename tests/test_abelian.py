@@ -6,7 +6,7 @@ before being asserted here.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crystor.abelian import (
     FinAbGroup,
@@ -24,7 +24,6 @@ from crystor.abelian import (
     smith_normal_form,
     subgroup_count_bound,
     subgroup_elements,
-    unimodular_inverse,
 )
 from crystor.errors import (
     BadInput,
@@ -72,15 +71,27 @@ def test_snf_empty_rejected():
         smith_normal_form(IntMatrix(0, 0, ()))
 
 
-@given(small_matrices)
-@settings(max_examples=150, deadline=None)
-def test_snf_transform_identity(m):
-    """U, V are unimodular and U*M*V = D with a divisibility chain."""
-    r = smith_normal_form(m)
-    assert r.U.mul(m).mul(r.V).as_rows() == r.D.as_rows()
-    assert abs(r.U.det()) == 1
-    assert abs(r.V.det()) == 1
-    diag = r.diagonal()
+@given(small_matrices, st.sampled_from([None, 4, 6, 9, 12]))
+@settings(max_examples=200, deadline=None)
+def test_snf_transform_identity(m, modulus):
+    """U, V are unimodular, V * Vinv = I and U*M*V = D with a divisibility
+    chain; over Z/n the same identities hold modulo n, and the factors
+    gcd(d_i, n) form the chain."""
+    from math import gcd
+
+    r = smith_normal_form(m, modulus)
+    ident = IntMatrix.identity(m.cols)
+    if modulus:
+        assert r.U.mul(m).mul(r.V).mod(modulus) == r.D
+        assert r.V.mul(r.Vinv).mod(modulus) == ident
+        assert gcd(r.U.det(), modulus) == gcd(r.V.det(), modulus) == 1
+        diag = [gcd(d, modulus) for d in r.diagonal()]
+    else:
+        assert r.U.mul(m).mul(r.V).as_rows() == r.D.as_rows()
+        assert r.V.mul(r.Vinv) == ident
+        assert abs(r.U.det()) == 1
+        assert abs(r.V.det()) == 1
+        diag = r.diagonal()
     for i in range(len(diag)):
         assert diag[i] >= 0
         if i and diag[i - 1]:
@@ -387,6 +398,52 @@ def test_hom_kernel_mixed_orders():
     assert got == elems
 
 
+def reference_kernel_lattice(f):
+    """The kernel lattice as first computed, kept as the reference for
+    the route modulo the target exponent: the integer Smith form of
+    [B | E], E = diag(target orders), projected to the source part."""
+    k, l = f.source.rank, f.target.rank
+    if k == 0:
+        return []
+    if l == 0:
+        return hnf_rows(diagonal_rows((1,) * k), k)
+    rel = diagonal_rows(f.target.invariant_factors)
+    stacked = IntMatrix.from_rows(
+        [list(f.matrix.row(i)) + rel[i] for i in range(l)])
+    snf = smith_normal_form(stacked)
+    members = [list(snf.V.column(j)[:k]) for j in range(l, k + l)]
+    return hnf_rows(members + diagonal_rows(f.source.invariant_factors), k)
+
+
+group_orders = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=3)
+
+
+@st.composite
+def mixed_order_homs(draw):
+    """A hom between groups of mixed orders: entry (i, j) is any multiple
+    of t_i / gcd(s_j, t_i), so source orders need not divide the target
+    exponent (Z/4 -> Z/2 turns up)."""
+    from math import gcd
+
+    source = FinAbGroup.of_orders(draw(group_orders))
+    target = FinAbGroup.of_orders(draw(group_orders))
+    rows = [[t // gcd(s, t) * draw(st.integers(0, gcd(s, t) - 1))
+             for s in source.invariant_factors]
+            for t in target.invariant_factors]
+    return GroupHom(source, target,
+                    IntMatrix(target.rank, source.rank, tuple(x for r in rows for x in r)))
+
+
+@given(mixed_order_homs())
+@example(GroupHom(FinAbGroup.cyclic(4), FinAbGroup.cyclic(2), IntMatrix.from_rows([[1]])))
+@settings(max_examples=200, deadline=None)
+def test_kernel_lattice_matches_integer_smith_route(f):
+    assert f.kernel_lattice() == reference_kernel_lattice(f)
+    ker, _ = f.kernel()
+    img, _ = f.image()
+    assert ker.order * img.order == f.source.order
+
+
 # ---------------------------------------------------------------------------
 # subgroup enumeration
 
@@ -548,12 +605,6 @@ def test_hnf_canonical():
     a = hnf_rows([[2, 1], [0, 3]], 2)
     b = hnf_rows([[2, 4], [0, 3]], 2)
     assert a == b  # same lattice, same canonical basis
-
-
-def test_unimodular_inverse():
-    m = IntMatrix.from_rows([[2, 1], [1, 1]])
-    inv = unimodular_inverse(m)
-    assert m.mul(inv).as_rows() == IntMatrix.identity(2).as_rows()
 
 
 def test_subgroup_canonical_equality():

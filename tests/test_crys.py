@@ -328,14 +328,15 @@ def test_phi_formula_check_values():
 
 
 def toric_quotient_by_hnf(rep):
-    """Reference route: the y-part lattice in HNF, then the integer Smith
-    form of n Z^t in its coordinates."""
+    """Reference route: the y-part lattice in HNF, then the Smith form
+    over Z/n of n Z^t in its coordinates."""
     from crystor.abelian import diagonal_rows, hnf_rows, quotient_orders
 
     t = rep.t
-    n_rows = diagonal_rows((rep.n,) * t)
-    y_basis = hnf_rows([list(g[t:]) for g in rep.generators] + n_rows, t)
-    return FinAbGroup.of_orders(quotient_orders(y_basis, n_rows, t))
+    n_orders = (rep.n,) * t
+    y_basis = hnf_rows([list(g[t:]) for g in rep.generators]
+                       + diagonal_rows(n_orders), t)
+    return FinAbGroup.of_orders(quotient_orders(y_basis, n_orders))
 
 
 @st.composite

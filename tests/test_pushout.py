@@ -46,22 +46,22 @@ def data_of(p, rows):
 
 
 def test_presented_diagonal_relations():
-    p = PresentedModule(IntMatrix.from_rows([[2, 0], [0, 4]]))
+    p = PresentedModule((2, 4))
     assert p.group == FinAbGroup.of_orders([2, 4])
 
 
 def test_presented_off_diagonal():
-    p = PresentedModule(IntMatrix.from_rows([[2, 1], [1, 2]]))
+    p = PresentedModule((3, 3), [[2, 1], [1, 2]])
     assert p.group == FinAbGroup.cyclic(3)
 
 
 def test_presented_infinite_quotient_rejected():
     with pytest.raises(BadInput):
-        PresentedModule(IntMatrix.from_rows([[0]]))
+        PresentedModule((0,))
 
 
 def test_presented_coords_round_trip():
-    p = PresentedModule(IntMatrix.from_rows([[2, 0], [0, 4]]))
+    p = PresentedModule((2, 4))
     gx, gy = p.coords([1, 0]), p.coords([0, 1])
     # the generators must generate: every element is a combination
     seen = set()
@@ -77,17 +77,113 @@ def test_presented_coords_round_trip():
 
 
 def test_presented_hom_transport_identity():
-    p = PresentedModule(IntMatrix.from_rows([[2, 0], [0, 4]]))
+    p = PresentedModule((2, 4))
     h = p.hom_to(p, IntMatrix.identity(2))
     assert h == GroupHom.identity(p.group)
 
 
 def test_presented_hom_transport_projection():
-    src = PresentedModule(IntMatrix.from_rows([[4, 0], [0, 4]]))
-    dst = PresentedModule(IntMatrix.from_rows([[4]]))
+    src = PresentedModule((4, 4))
+    dst = PresentedModule((4,))
     h = src.hom_to(dst, IntMatrix.from_rows([[1, 0]]))
     assert h.image()[0] == dst.group
     assert h.kernel()[0] == FinAbGroup.cyclic(4)
+
+
+@st.composite
+def presentations(draw):
+    """Generator orders (1 and mixed orders included) and up to three
+    more relations with small entries."""
+    g = draw(st.integers(1, 4))
+    orders = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6, 8, 9]),
+                           min_size=g, max_size=g))
+    relations = draw(st.lists(st.lists(st.integers(-9, 9), min_size=g, max_size=g),
+                              max_size=3))
+    return orders, relations
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(), st.data())
+def test_presented_matches_integer_smith_form(presentation, data):
+    # the unreduced integer Smith form of the whole relation matrix is
+    # the reference for the group; coords must be a homomorphism that
+    # kills every relation and reaches the whole group
+    from crystor.abelian import diagonal_rows, hnf_rows, smith_normal_form
+
+    orders, relations = presentation
+    p = PresentedModule(orders, relations)
+    rel = relations + diagonal_rows(orders)
+    assert p.group == FinAbGroup.of_orders(
+        smith_normal_form(IntMatrix.from_rows(rel)).diagonal())
+    g, factors = len(orders), p.group.invariant_factors
+    for row in rel:
+        assert not any(p.coords(row))
+    draw_vec = lambda: [data.draw(st.integers(-20, 20)) for _ in range(g)]
+    x, y = draw_vec(), draw_vec()
+    assert p.coords([a + b for a, b in zip(x, y)]) == tuple(
+        (a + b) % d for a, b, d in zip(p.coords(x), p.coords(y), factors))
+    images = [list(p.coords([int(i == j) for i in range(g)])) for j in range(g)]
+    spanned = hnf_rows(images + diagonal_rows(factors), p.group.rank)
+    assert all(row[i] == 1 for i, row in enumerate(spanned))
+    assert p.hom_to(p, IntMatrix.identity(g)) == GroupHom.identity(p.group)
+
+
+def faulty_smith_normal_form(monkeypatch, fault):
+    """Route the presentations' Smith forms through ``fault(real, m,
+    modulus)``, with a fresh presentation cache for the patched run so
+    that no faulty presentation outlives the test."""
+    from functools import lru_cache
+
+    import crystor.pushout
+
+    real = crystor.pushout.smith_normal_form
+    monkeypatch.setattr(crystor.pushout, "smith_normal_form",
+                        lambda m, modulus=None: fault(real, m, modulus))
+    monkeypatch.setattr(crystor.pushout, "mp_presentation",
+                        lru_cache(maxsize=8)(mp_presentation.__wrapped__))
+
+
+def test_presentation_modulus_missing_a_factor_fails_the_pushout(monkeypatch):
+    # ker(2) on Z/4 is Z/2, so the pulled-back middle term is Z/2 + Z/4;
+    # over Z/2 instead of Z/4 the relation 2b = 0 vanishes and b gets
+    # order 4
+    sub, _ = star_pullback(free_obj(4, 1, 1, [[2]]))
+    assert mp_pushout(sub) == ExtClass.split(4, 1, 1)
+    faulty_smith_normal_form(
+        monkeypatch, lambda real, m, modulus: real(m, modulus // 2))
+    with pytest.raises(RouteDisagreement):
+        mp_pushout(sub)
+
+
+def test_presentation_inverse_off_by_one_fails_a_check(monkeypatch):
+    # one V^-1 entry off by one moves a basis element's lift, and with it
+    # the transported maps: check_mp_exactness sees the routes disagree,
+    # and verify reports its functoriality check as failed
+    from dataclasses import replace
+
+    from crystor.cli import run_command
+
+    def bump_vinv(real, m, modulus):
+        snf = real(m, modulus)
+        entries = list(snf.Vinv.entries)
+        entries[-1] += 1
+        return replace(snf, Vinv=IntMatrix(snf.Vinv.rows, snf.Vinv.cols, tuple(entries)))
+
+    faulty_smith_normal_form(monkeypatch, bump_vinv)
+    a = free_obj(4, 1, 1, [[0]])
+    b = free_obj(4, 2, 2, [[0, 0], [0, 0]])
+    c = free_obj(4, 1, 1, [[0]])
+    f = ExtNuMorphism(a, b, IntMatrix.from_rows([[1], [0]]),
+                      IntMatrix.from_rows([[1], [0]]))
+    g = ExtNuMorphism(b, c, IntMatrix.from_rows([[0, 1]]),
+                      IntMatrix.from_rows([[0, 1]]))
+    with pytest.raises(RouteDisagreement):
+        check_mp_exactness(f, g)
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    report, code = run_command(["verify", str(corpus / "t3_dense_p5.txt"), "--max-m", "2"])
+    assert code == 2
+    failed = [c["name"] for c in report.payload["checks"] if not c["ok"]]
+    assert failed == ["pushout functoriality (seed 0)"]
 
 
 # --- objects and the pushout ------------------------------------------
