@@ -607,6 +607,20 @@ def test_hnf_canonical():
     assert a == b  # same lattice, same canonical basis
 
 
+def test_unimodular_inverse():
+    """For a unimodular m the Smith form is U m V = I, so m^-1 = V U; the
+    same pass returns Vinv = V^-1."""
+    m = IntMatrix.from_rows([[2, 1], [1, 1]])
+    r = smith_normal_form(m)
+    ident = IntMatrix.identity(2).as_rows()
+    assert r.D.as_rows() == ident
+    inv = r.V.mul(r.U)
+    assert m.mul(inv).as_rows() == ident
+    assert inv.mul(m).as_rows() == ident
+    assert r.V.mul(r.Vinv).as_rows() == ident
+    assert r.Vinv.mul(r.V).as_rows() == ident
+
+
 def test_subgroup_canonical_equality():
     # <(1,1)> and <(3,3)> coincide inside (Z/4)^2
     def canonical(gens):
