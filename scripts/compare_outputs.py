@@ -21,8 +21,9 @@ the prime test (strong pseudoprimes included), three levels whose
 modulus has more than 4,300 digits and a set of error cases, each with
 and without ``--json``.
 
-Prints the number of runs and every run whose stdout, stderr or exit
-code differ, and exits 1 if any do.  Stdlib only.
+Prints every run whose stdout, stderr or exit code differ, then the
+number of differing runs per subcommand and the number of runs, and
+exits 1 if any differ.  Stdlib only.
 """
 
 import argparse
@@ -33,6 +34,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -216,18 +218,21 @@ def main() -> int:
                                                 write_budget_input(Path(tmp)))
                 for extra in ([], ["--json"])]
         mine, theirs = run_tree(ROOT, runs), run_tree(other, runs)
-    differ = 0
+    differ = Counter()
     for (argv, env), a, b in zip(runs, mine, theirs):
         if a == b:
             continue
-        differ += 1
+        differ[argv[0]] += 1
         prefix = " ".join(f"{k}={v}" for k, v in env.items())
         print(f"DIFF {prefix + ' ' if prefix else ''}crystor {' '.join(argv)}")
         for name, x, y in zip(("stdout", "stderr", "exit"), a, b):
             if x != y:
                 print(f"  {name} here:  {x!r}")
                 print(f"  {name} other: {y!r}")
-    print(f"{len(runs)} runs, {differ} differ")
+    if differ:
+        print("differing runs by subcommand: "
+              + ", ".join(f"{sub} {k}" for sub, k in sorted(differ.items())))
+    print(f"{len(runs)} runs, {differ.total()} differ")
     return 1 if differ else 0
 
 

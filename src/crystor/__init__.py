@@ -35,7 +35,6 @@ from .degen import (
     DegenerationData,
     monodromy_map,
     raynaud_decompose,
-    recombine,
     torsion_module,
 )
 from .kummer import (
@@ -44,7 +43,6 @@ from .kummer import (
     baer_neg,
     baer_sum,
     is_one_crystalline,
-    monodromy_of,
     raynaud_split,
 )
 from .pushout import (
@@ -85,7 +83,6 @@ __all__ = [
     "kernel_mod_n",
     "les_report",
     "monodromy_map",
-    "monodromy_of",
     "mp_pushout",
     "n_torsion",
     "oracle_crys1",
@@ -95,7 +92,6 @@ __all__ = [
     "r1crys1_tors",
     "raynaud_decompose",
     "raynaud_split",
-    "recombine",
     "smith_normal_form",
     "star_pullback",
     "tate_closed_form",

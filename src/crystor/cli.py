@@ -34,7 +34,7 @@ from .abelian import (
     IntMatrix,
     diagonal_rows,
     enum_budget,
-    kernel_mod_n,
+    hnf_rows,
     n_torsion,
     p_primary_part,
     p_valuation,
@@ -50,22 +50,18 @@ from .crys import (
     r1crys1_tors,
     tate_closed_form,
 )
-from .degen import (
-    DegenerationData,
-    level_modulus,
-    raynaud_decompose,
-    recombine,
-    torsion_module,
-)
+from .degen import DegenerationData, level_modulus
 from .errors import (ArtifactError, BadInput, BadLevel, NotStabilized,
                      ParseError)
-from .kummer import monodromy_of
 from .pushout import (
     ExtNuMorphism,
     check_mp_exactness,
     degeneration_object,
+    middle_term_group,
     mp_hom,
+    mp_presentation,
     object_direct_sum,
+    star_pullback,
     sum_inclusion,
     sum_projection,
 )
@@ -568,23 +564,16 @@ def _verify_checks(data: DegenerationData, max_m: int,
     coker = component_group(data)
     oracle_space = min(1 << 12, enum_budget())
 
-    previous = None
     for m in range(1, max_m + 1):
         n = p ** m
-        tors = torsion_module(data, m)
-        eta1, nu = raynaud_decompose(data, m)
-        add(f"raynaud recombination at m={m}",
-            recombine(eta1, nu) == tors)
-        add(f"monodromy matrix at m={m}",
-            monodromy_of(tors).matrix == mu.mod(n)
-            and nu.matrix == mu.mod(n))
-        if m > 1:
-            add(f"level reduction m={m}->{m - 1}",
-                tors.reduce_to(p ** (m - 1)) == previous)
-        previous = tors
-        # three routes: the generic Smith form of mu mod p^m, the local
-        # Smith form of mu and the invariant factors of mu
-        kernel_route = kernel_mod_n(mu.mod(n), n)[0]
+        level_obj = degeneration_object(data, m)
+        if m == min(max_m, 2):
+            obj = level_obj  # the pushout checks below reuse it
+        sub, gens = star_pullback(level_obj)
+        # three routes: the generic Smith form of mu mod p^m (the star
+        # pullback's etale part), the local Smith form of mu and the
+        # invariant factors of mu
+        kernel_route = sub.etale_group
         local_route = data.local.kernel(m)[0]
         torsion_route = n_torsion(coker, n)
         add(f"kernel vs torsion routes at m={m}",
@@ -599,6 +588,17 @@ def _verify_checks(data: DegenerationData, max_m: int,
             expected *= math.gcd(d, n)
         add(f"order law at m={m}", rep.group.order == expected,
             f"order {rep.group.order}, expected {expected}")
+        # the paper's construction: the pulled-back object's presented
+        # middle term, its class-route middle term and the crys1 group,
+        # and the x-basis plus the lifted pullback generators as a lattice
+        presented = mp_presentation(sub).group
+        by_class = middle_term_group(sub)
+        rows = diagonal_rows((1,) * t + (n,) * t) + [(0,) * t + g for g in gens]
+        same_lattice = hnf_rows(rows, 2 * t) == rep.lattice()
+        add(f"star pullback at m={m}",
+            presented == by_class == rep.group and same_lattice,
+            f"presented {presented} vs class route {by_class} vs crys1 "
+            f"{rep.group}, lattices {'agree' if same_lattice else 'differ'}")
         if n ** t <= oracle_space:
             ora = oracle_crys1(data, m)
             add(f"oracle agreement at m={m}",
@@ -632,7 +632,6 @@ def _verify_checks(data: DegenerationData, max_m: int,
         f"y-part {tate_rep.y_part_vanishes}")
 
     rng = random.Random(seed)
-    obj = degeneration_object(data, min(max_m, 2))
     functorial = True
     detail = ""
     for _ in range(5):

@@ -13,8 +13,9 @@ data and computed independently of each other:
 - ``data.local``, the Smith form of mu over Z/p^k, k = v_p(det mu) + 1.
   Every level's maximal submodule is read off it in O(t^2): the kernel
   of mu mod p^m is spanned by p^(m - min(v_i, m)) V_i.  No Kummer or
-  extension class is built on the way (pushout.star_pullback is the
-  same kernel dressed as a category object).
+  extension class is built on the way.  pushout.star_pullback reaches
+  the same kernel through a generic Smith form, dressed as a category
+  object; the verify subcommand compares the two at every level.
 - ``data.invariants``, the invariant factors of mu by elimination
   modulo det mu.  The component group and all of its p^m-torsion levels
   are read off them.

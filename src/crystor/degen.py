@@ -38,7 +38,7 @@ from .errors import (
     RouteDisagreement,
     ShapeMismatch,
 )
-from .kummer import ExtClass, KummerClass, baer_sum, raynaud_split
+from .kummer import ExtClass, KummerClass, raynaud_split
 
 
 def leading_minors(mu: IntMatrix):
@@ -185,15 +185,8 @@ def raynaud_decompose(data: DegenerationData, m: int) -> tuple[ExtClass, GroupHo
     """(unit-part class eta1, monodromy map nu).
 
     eta1 prolongs over the ring of integers; nu is the obstruction.
-    Recombination: baer_sum(eta1, class of nu's matrix) is the full
-    torsion class up to the unit symbols, and exactly equals it since
-    the val/unit split is entrywise.
+    The Baer sum of eta1 and the pure-valuation class of nu's matrix is
+    the torsion class, since the val/unit split is entrywise.
     """
     eta1, _ = raynaud_split(torsion_module(data, m))
     return eta1, monodromy_map(data, m)
-
-
-def recombine(eta1: ExtClass, nu: GroupHom) -> ExtClass:
-    """Baer sum of a prolongable class with the pure-valuation class of
-    nu's matrix; inverse to raynaud_decompose."""
-    return baer_sum(eta1, ExtClass.from_val_matrix(eta1.n, nu.matrix))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import FinAbGroup, GroupHom, IntMatrix
+from .abelian import IntMatrix
 from .errors import ShapeMismatch
 
 
@@ -72,12 +72,6 @@ class KummerClass:
 
     def unit_part(self) -> "KummerClass":
         return KummerClass(self.n, 0, self.units)
-
-    def reduce_to(self, n2: int) -> "KummerClass":
-        """Image under K^x/(K^x)^n -> K^x/(K^x)^n2; n2 must divide n."""
-        if n2 < 2 or self.n % n2:
-            raise ShapeMismatch(f"{n2} does not divide level {self.n}")
-        return KummerClass(n2, self.val, self.units)
 
     def __str__(self):
         terms = []
@@ -138,10 +132,6 @@ class ExtClass:
             [[c.val for c in row] for row in self.kappa]
         ) if self.mult_rank else IntMatrix(0, self.etale_rank, ())
 
-    def reduce_to(self, n2: int) -> "ExtClass":
-        rows = tuple(tuple(c.reduce_to(n2) for c in row) for row in self.kappa)
-        return ExtClass(n2, self.mult_rank, self.etale_rank, rows)
-
     def column_combination(self, vec) -> tuple[KummerClass, ...]:
         """The kappa value on the etale element with coordinates ``vec``."""
         if len(vec) != self.etale_rank:
@@ -194,14 +184,3 @@ def raynaud_split(a: ExtClass) -> tuple[ExtClass, ExtClass]:
 def is_one_crystalline(a: ExtClass) -> bool:
     """True iff every valuation is 0 mod n, i.e. the monodromy vanishes."""
     return all(c.val == 0 for row in a.kappa for c in row)
-
-
-def monodromy_of(a: ExtClass) -> GroupHom:
-    """The valuation-part matrix as a map (Z/n)^etale(1) -> (Z/n)^mult.
-
-    Zero exactly when the class is 1-crystalline.
-    """
-    source = FinAbGroup.of_orders([a.n] * a.etale_rank)
-    target = FinAbGroup.of_orders([a.n] * a.mult_rank)
-    return GroupHom(source, target, a.val_matrix())
-

@@ -435,9 +435,10 @@ def test_verify_rejects_level_below_one_before_any_check(
 
 
 def test_verify_builds_each_presentation_once(capsys, monkeypatch):
-    # the pushout checks use two distinct objects, obj and obj ⊕ obj;
-    # each presents its middle term once, however many maps are
-    # transported through it and however many equal copies are built
+    # each level presents its star pullback's middle term, and the
+    # pushout checks present obj and obj ⊕ obj; each is presented once,
+    # however many maps are transported through it and however many
+    # equal copies are built
     from crystor.pushout import PresentedModule, mp_presentation
 
     mp_presentation.cache_clear()
@@ -445,14 +446,15 @@ def test_verify_builds_each_presentation_once(capsys, monkeypatch):
     post_init = PresentedModule.__post_init__
 
     def counting(self):
-        built.append(len(self.orders))
+        built.append((self.orders, tuple(map(tuple, self.relations))))
         post_init(self)
 
     monkeypatch.setattr(PresentedModule, "__post_init__", counting)
     code, out, _ = run_main(
         capsys, ["verify", str(CORPUS / "t3_dense_p5.txt"), "--max-m", "3"])
     assert code == 0 and "FAIL" not in out
-    assert 0 < len(built) <= 2
+    assert len(built) == 3 + 2
+    assert len(set(built)) == len(built)
 
 
 def test_verify_seed_changes_echo_only(capsys):

@@ -10,7 +10,6 @@ from crystor.degen import (
     leading_minors,
     monodromy_map,
     raynaud_decompose,
-    recombine,
     torsion_module,
 )
 from crystor.errors import (
@@ -20,7 +19,7 @@ from crystor.errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from crystor.kummer import is_one_crystalline, monodromy_of
+from crystor.kummer import ExtClass, baer_sum, is_one_crystalline
 
 
 def data_of(p, rows, units=None):
@@ -206,7 +205,7 @@ def test_torsion_module_rejects_bad_level():
 def test_monodromy_of_torsion_class_is_mu_mod_level():
     data = data_of(2, [[6, 1], [1, 3]])
     tors = torsion_module(data, 2)
-    assert monodromy_of(tors).matrix == data.mu.mod(4)
+    assert tors.val_matrix() == data.mu.mod(4)
 
 
 def test_raynaud_tate_curve():
@@ -230,19 +229,8 @@ def test_recombination_identity(data):
     m = data.draw(st.integers(1, 6))
     d = data_of(p, data.draw(spd_matrices(t)))
     eta1, nu = raynaud_decompose(d, m)
-    assert recombine(eta1, nu) == torsion_module(d, m)
-
-
-@settings(max_examples=30)
-@given(st.data())
-def test_level_reduction_compatibility(data):
-    t = data.draw(st.integers(1, 2))
-    p = data.draw(st.sampled_from([2, 3]))
-    m = data.draw(st.integers(1, 4))
-    d = data_of(p, data.draw(spd_matrices(t)))
-    fine = torsion_module(d, m + 1)
-    coarse = torsion_module(d, m)
-    assert fine.reduce_to(p**m) == coarse
+    recombined = baer_sum(eta1, ExtClass.from_val_matrix(eta1.n, nu.matrix))
+    assert recombined == torsion_module(d, m)
 
 
 @given(spd_matrices(3, bound=6))

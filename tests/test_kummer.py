@@ -11,7 +11,6 @@ from crystor.kummer import (
     baer_neg,
     baer_sum,
     is_one_crystalline,
-    monodromy_of,
     raynaud_split,
 )
 
@@ -104,7 +103,7 @@ def ext_from(n, vals, unit_positions=()):
 def test_split_class_is_crystalline_and_zero_monodromy():
     e = ExtClass.split(4, 2, 3)
     assert is_one_crystalline(e)
-    assert monodromy_of(e).is_zero()
+    assert e.val_matrix() == IntMatrix(2, 3, (0,) * 6)
 
 
 def test_unit_only_class_is_crystalline():
@@ -120,10 +119,7 @@ def test_valuation_breaks_crystallinity():
 
 def test_monodromy_matrix_entries():
     e = ext_from(6, [[1, 2, 3], [4, 5, 0]], [(0, 0, "u")])
-    m = monodromy_of(e)
-    assert m.matrix == IntMatrix.from_rows([[1, 2, 3], [4, 5, 0]])
-    assert m.source.invariant_factors == (6, 6, 6)
-    assert m.target.invariant_factors == (6, 6)
+    assert e.val_matrix() == IntMatrix.from_rows([[1, 2, 3], [4, 5, 0]])
 
 
 def test_baer_sum_adds_val_matrices():

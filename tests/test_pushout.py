@@ -130,17 +130,30 @@ def test_presented_matches_integer_smith_form(presentation, data):
 
 def faulty_smith_normal_form(monkeypatch, fault):
     """Route the presentations' Smith forms through ``fault(real, m,
-    modulus)``, with a fresh presentation cache for the patched run so
-    that no faulty presentation outlives the test."""
+    modulus)``, with a fresh presentation cache for the patched run, in
+    the pushout layer and in verify, so that no faulty presentation
+    outlives the test and no sound one is read from the cache."""
     from functools import lru_cache
 
+    import crystor.cli
     import crystor.pushout
 
     real = crystor.pushout.smith_normal_form
     monkeypatch.setattr(crystor.pushout, "smith_normal_form",
                         lambda m, modulus=None: fault(real, m, modulus))
-    monkeypatch.setattr(crystor.pushout, "mp_presentation",
-                        lru_cache(maxsize=8)(mp_presentation.__wrapped__))
+    fresh = lru_cache(maxsize=8)(mp_presentation.__wrapped__)
+    monkeypatch.setattr(crystor.pushout, "mp_presentation", fresh)
+    monkeypatch.setattr(crystor.cli, "mp_presentation", fresh)
+
+
+def failed_verify_checks(name, max_m):
+    from crystor.cli import run_command
+
+    corpus = Path(__file__).resolve().parent.parent / "corpus"
+    report, code = run_command(["verify", str(corpus / name), "--max-m", str(max_m)])
+    failed = [c["name"] for c in report.payload["checks"] if not c["ok"]]
+    assert (code == 2) == bool(failed)
+    return failed
 
 
 def test_presentation_modulus_missing_a_factor_fails_the_pushout(monkeypatch):
@@ -161,8 +174,6 @@ def test_presentation_inverse_off_by_one_fails_a_check(monkeypatch):
     # and verify reports its functoriality check as failed
     from dataclasses import replace
 
-    from crystor.cli import run_command
-
     def bump_vinv(real, m, modulus):
         snf = real(m, modulus)
         entries = list(snf.Vinv.entries)
@@ -179,11 +190,50 @@ def test_presentation_inverse_off_by_one_fails_a_check(monkeypatch):
                       IntMatrix.from_rows([[0, 1]]))
     with pytest.raises(RouteDisagreement):
         check_mp_exactness(f, g)
-    corpus = Path(__file__).resolve().parent.parent / "corpus"
-    report, code = run_command(["verify", str(corpus / "t3_dense_p5.txt"), "--max-m", "2"])
-    assert code == 2
-    failed = [c["name"] for c in report.payload["checks"] if not c["ok"]]
-    assert failed == ["pushout functoriality (seed 0)"]
+    assert failed_verify_checks("t3_dense_p5.txt", 2) == [
+        "pushout functoriality (seed 0)"]
+
+
+@pytest.mark.parametrize("name, p, max_m", [("tate_v05_p5.txt", 5, 2),
+                                            ("t3_chain_p2.txt", 2, 3)])
+def test_presentation_modulus_below_the_level_fails_the_star_pullback(
+        monkeypatch, name, p, max_m):
+    # over Z/(n/p) a kernel factor of order n/p reads as gcd(0, n) = n,
+    # so the presented middle term of the pulled-back object is too big
+    assert failed_verify_checks(name, max_m) == []
+    faulty_smith_normal_form(
+        monkeypatch, lambda real, m, modulus: real(m, modulus // p))
+    assert f"star pullback at m={max_m}" in failed_verify_checks(name, max_m)
+
+
+def drop_last_kernel_generator(real):
+    def kernel(m, n):
+        group, gens = real(m, n)
+        return FinAbGroup.of_orders(group.invariant_factors[:-1]), gens[:-1]
+    return kernel
+
+
+def scale_kernel_generators(real):
+    def kernel(m, n):
+        group, gens = real(m, n)
+        return group, tuple(tuple(5 * x for x in g) for g in gens)
+    return kernel
+
+
+@pytest.mark.parametrize("fault, expected", [
+    (drop_last_kernel_generator,
+     ["kernel vs torsion routes at m=2", "star pullback at m=2"]),
+    # the groups stay right, so only the lattice comparison sees it
+    (scale_kernel_generators, ["star pullback at m=2"]),
+], ids=["dropped-generator", "scaled-generators"])
+def test_pullback_kernel_fault_fails_verify(monkeypatch, fault, expected):
+    # mu = [[5]] at p = 5: ker(5) on Z/25 is Z/5, spanned by 5
+    import crystor.pushout
+
+    monkeypatch.setattr(crystor.pushout, "kernel_mod_n",
+                        fault(crystor.pushout.kernel_mod_n))
+    failed = failed_verify_checks("tate_v05_p5.txt", 2)
+    assert [name for name in failed if name.endswith("m=2")] == expected
 
 
 # --- objects and the pushout ------------------------------------------
