@@ -399,6 +399,20 @@ def _clear_cross(a, k: int, r: int) -> None:
 # Smith form over the local ring Z/p^k
 
 
+def _kernel_read_off(n: int, orders, column) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
+    """A kernel read off a Smith form over Z/n: ``column(j)``, column j
+    of V, scaled by n / orders[j] mod n generates a cyclic factor of
+    order orders[j]; factors of order 1 are dropped.  ``orders`` must
+    be increasing in divisibility."""
+    kept, gens = [], []
+    for j, d in enumerate(orders):
+        if d > 1:
+            scale = n // d
+            gens.append(tuple(scale * x % n for x in column(j)))
+            kept.append(d)
+    return FinAbGroup(tuple(kept)), tuple(gens)
+
+
 @dataclass(frozen=True)
 class LocalSmith:
     """Smith form of a square integer matrix M over Z/p^k.
@@ -427,18 +441,9 @@ class LocalSmith:
         >>> str(g), gens
         ('Z/2 ⊕ Z/4', ((2, 0), (0, 1)))
         """
-        p = self.p
-        n = p**m
-        orders = []
-        gens = []
-        for v, col in zip(self.valuations, self.columns):
-            e = min(v, m)
-            if e == 0:
-                continue
-            scale = p ** (m - e)
-            gens.append(tuple(scale * x % n for x in col))
-            orders.append(p**e)
-        return FinAbGroup(tuple(orders)), tuple(gens)
+        n = self.p**m
+        orders = [self.p**v if v < m else n for v in self.valuations]
+        return _kernel_read_off(n, orders, self.columns.__getitem__)
 
 
 def local_smith(m: IntMatrix, p: int, k: int) -> LocalSmith:
@@ -846,17 +851,8 @@ def kernel_mod_n(m: IntMatrix, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...
     snf = smith_normal_form(m, modulus=n)
     diag = list(snf.diagonal())
     diag += [0] * (m.cols - len(diag))
-    orders = []
-    gens = []
-    for j, d in enumerate(diag):
-        g = gcd(d, n)  # gcd(0, n) == n covers rank-deficient columns
-        if g <= 1:
-            continue
-        scale = n // g
-        col = snf.V.column(j)
-        gens.append(tuple((scale * x) % n for x in col))
-        orders.append(g)
-    return FinAbGroup(tuple(orders)), tuple(gens)
+    # gcd(0, n) == n covers rank-deficient columns
+    return _kernel_read_off(n, [gcd(d, n) for d in diag], snf.V.column)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,10 @@ crys1 y-generators themselves, not from the valuations of
 ``data.local``.  The other routes are the crys1 route against
 brute-force evaluation of mu on every etale vector in oracle_crys1
 (one column of mu at a time, the span grown one generator at a time),
-and the stabilized finite-level chain against the p-primary part for
-the derived-functor torsion.  Disagreement between routes is a bug,
+and, for the derived-functor torsion in r1crys1_tors and les_report,
+the stable group of the level tower, read off the valuations of
+``data.local``, against the p-primary part of the component group,
+read off ``data.invariants``.  Disagreement between routes is a bug,
 never tolerance: it raises RouteDisagreement or is reported as a
 failed check.
 """
@@ -48,7 +50,6 @@ from .abelian import (
     diagonal_rows,
     extend_span,
     hnf_rows,
-    lattice_solve,
     local_smith,
     n_torsion,
     p_primary_part,
@@ -265,27 +266,33 @@ def phi_formula_check(data: DegenerationData, m: int) -> tuple[FinAbGroup, bool]
 
 
 def _stabilized_phi(data: DegenerationData, cap: int) -> tuple[FinAbGroup, int]:
-    """First level m with phi_m == phi_{m+1}; the chain is monotone, so
-    one repeat means it is constant from there on.  The cap must be at
-    least 2, since the test compares levels m and m + 1."""
+    """The stable group of the level tower and the first level m with
+    phi_m == phi_{m+1}, read off the local Smith form of mu.
+
+    Over Z_(p), mu has Smith form diag(p^{v_1}, ..., p^{v_t}), so
+    Phi[p^m] has factors p^min(v_i, m).  Phi[p^m] and Phi[p^(m+1)]
+    differ exactly when some v_i > m, so the tower grows until
+    m = max v_i and is constant from there on: it stabilizes at
+    s = max(1, max v_i), on the sum of the Z/p^{v_i}.  Seeing the repeat
+    takes levels s and s + 1, so a cap below s + 1 raises NotStabilized
+    with every level up to the cap grown, and a cap below 2 is bad
+    input.
+    """
     if cap < 2:
         raise BadInput(f"the cap must be at least 2, got {cap}: "
                        "stabilization compares levels m and m + 1")
-    prev = phi_n(data, 1)
-    last_growth = 1
-    for m in range(2, cap + 1):
-        cur = phi_n(data, m)
-        if cur == prev:
-            return prev, m - 1
-        prev = cur
-        last_growth = m
-    raise NotStabilized(last_growth, cap)
+    vals = data.local.valuations
+    level = max(1, *vals)
+    if level + 1 > cap:
+        raise NotStabilized(cap, cap)
+    return FinAbGroup.of_orders(data.p**v for v in vals), level
 
 
 def r1crys1_tors(data: DegenerationData, cap: int = 12) -> FinAbGroup:
     """Torsion of the first derived functor on the Tate module: the
-    stabilized finite-level chain, which must equal the p-primary part
-    of the component group."""
+    stable group of the level tower, read off the local Smith form of
+    mu, which must equal the p-primary part of the component group,
+    read off the invariant factors of mu; RouteDisagreement otherwise."""
     stable, _ = _stabilized_phi(data, cap)
     primary = p_primary_part(component_group(data), data.p)
     if stable != primary:
@@ -302,42 +309,30 @@ def r1crys1_tors(data: DegenerationData, cap: int = 12) -> FinAbGroup:
 @dataclass(frozen=True, slots=True)
 class TateReport:
     """Free part of the maximal 1-crystalline submodule of the Tate
-    module, plus the finite-level compatibility evidence."""
+    module, plus the top-level evidence that its y-parts die."""
 
     rank: int
     weight: int
     levels_checked: int
-    reduction_compatible: bool
     y_part_vanishes: bool
 
 
 def crys1_tate_module(data: DegenerationData) -> TateReport:
     """Rank-t free module of twist weight 1.
 
-    Verifies levels 1..max(6, v + 1) cohere, p^v the component group's
-    p-exponent: reduction sends each level's maximal submodule into the
-    next one down, and the y-parts die at the top level.
+    Checks that the y-parts die at level m_top = max(6, v + 1), p^v the
+    component group's p-exponent: the level-m_top kernel of mu is
+    spanned by p^(m_top - v_i) V_i, so p divides every y-generator
+    exactly when every local valuation v_i is below m_top (a column of
+    the invertible V is never 0 mod p).
     """
     data.validate()
     p, t = data.p, data.t
     v_max = p_valuation(component_group(data).exponent(), p)
     m_top = max(6, v_max + 1)
-
-    compatible = True
-    reports = {m: crys1_torsion(data, m) for m in range(1, m_top + 1)}
-    for m in range(1, m_top):
-        coarse = reports[m].lattice()
-        n_small = p**m
-        for g in reports[m + 1].generators:
-            reduced = tuple(x % n_small for x in g)
-            if lattice_solve(coarse, reduced, 2 * t) is None:
-                compatible = False
-
-    top = reports[m_top]
-    y_dead = all(
-        all(x % p == 0 for x in g[t:]) for g in top.generators
-    )
-    return TateReport(t, 1, m_top, compatible, y_dead)
+    top = crys1_torsion(data, m_top)
+    y_dead = all(x % p == 0 for g in top.generators for x in g[t:])
+    return TateReport(t, 1, m_top, y_dead)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +384,9 @@ _shared_les = lru_cache(maxsize=256)(LesReport)
 
 
 def les_report(data: DegenerationData, cap: int = 12) -> LesReport:
-    """Per-level exactness through the crys1 route, and the stabilized
-    chain against the p-primary part of the component group; a failed
+    """Per-level exactness through the crys1 route, and the stable group
+    of the level tower (the local Smith form of mu) against the p-primary
+    part of the component group (the invariant factors of mu); a failed
     comparison is reported in ``exact``, not raised."""
     data.validate()
     t = data.t

@@ -434,6 +434,30 @@ def test_verify_rejects_level_below_one_before_any_check(
     assert err == "error: BadLevel: torsion level exponent must be at least 1\n"
 
 
+def test_verify_reads_the_level_tower_from_one_les_report(monkeypatch):
+    # "r1 stabilization" and "long exact sequence" share one report, and
+    # r1crys1_tors, which would raise on a disagreement, is not called
+    import crystor.cli
+    from crystor.cli import _verify_checks
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called r1crys1_tors")
+
+    real = crystor.cli.les_report
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(crystor.cli, "les_report", recording)
+    monkeypatch.setattr(crystor.cli, "r1crys1_tors", refuse)
+    data = parse_input((CORPUS / "t3_chain_p2.txt").read_text())
+    checks = _verify_checks(data, 2, 0)
+    assert len(reports) == 1
+    assert all(ok for _, ok, _ in checks)
+
+
 def test_verify_builds_each_presentation_once(capsys, monkeypatch):
     # each level presents its star pullback's middle term, and the
     # pushout checks present obj and obj ⊕ obj; each is presented once,

@@ -434,6 +434,59 @@ def test_r1_equals_p_primary_random():
         assert got == p_primary_part(component_group(data), data.p)
 
 
+def chain_stabilization(data, cap):
+    """The level-by-level chain: the first m with phi_m == phi_{m+1},
+    reading every level off the invariant factors."""
+    prev = phi_n(data, 1)
+    last_growth = 1
+    for m in range(2, cap + 1):
+        cur = phi_n(data, m)
+        if cur == prev:
+            return prev, m - 1
+        prev = cur
+        last_growth = m
+    raise NotStabilized(last_growth, cap)
+
+
+def test_closed_form_stabilization_matches_the_chain():
+    # the stable group and level read off the local Smith form agree
+    # with the chain of finite levels, and so does every refusal; the
+    # scale p^k pushes the valuations past the small caps
+    import random
+
+    from crystor.crys import _stabilized_phi
+
+    rng = random.Random(11)
+    refusals = 0
+    for _ in range(60):
+        t, p = rng.randint(1, 3), rng.choice([2, 3, 5])
+        scale = p ** rng.randint(0, 4)
+        rows = spd_rows(lambda a, b: rng.randint(a, b), t)
+        data = data_of(p, [[scale * x for x in row] for row in rows])
+        for cap in range(2, 9):
+            try:
+                expected = chain_stabilization(data, cap)
+            except NotStabilized as e:
+                with pytest.raises(NotStabilized) as exc:
+                    _stabilized_phi(data, cap)
+                assert str(exc.value) == str(e)
+                assert (exc.value.last_growth, exc.value.cap) == (e.last_growth, e.cap)
+                refusals += 1
+            else:
+                assert _stabilized_phi(data, cap) == expected
+    assert refusals  # both branches are exercised
+
+
+def test_stabilization_reads_no_finite_level(monkeypatch):
+    import crystor.crys
+    from crystor.crys import _stabilized_phi
+
+    calls = record_calls(monkeypatch, crystor.crys.phi_n)
+    data = data_of(3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]])
+    assert _stabilized_phi(data, 40) == (FinAbGroup.cyclic(9), 2)
+    assert calls == []
+
+
 # --- one Smith form of mu per input -----------------------------------
 
 
@@ -473,7 +526,7 @@ def test_one_smith_form_of_mu_per_input(snf_calls, monkeypatch):
     assert r1crys1_tors(data, cap=40) == FinAbGroup.cyclic(9)
     rep = les_report(data, cap=40)
     assert rep.exact and rep.stabilized_at == 2
-    assert crys1_tate_module(data).reduction_compatible
+    assert crys1_tate_module(data).y_part_vanishes
     assert phi_formula_check(data, 3)[1]
     # no integer Smith form of mu or of any mu mod p^m
     reductions = {data.mu} | {data.mu.mod(3**m) for m in range(1, 41)}
@@ -501,7 +554,7 @@ def test_no_kummer_objects_on_the_crys1_path(monkeypatch):
     modules = record_calls(monkeypatch, crystor.degen.torsion_module)
     data = data_of(3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]])
     assert les_report(data, cap=40).exact
-    assert crys1_tate_module(data).reduction_compatible
+    assert crys1_tate_module(data).y_part_vanishes
     # the torsion report reads mu mod p^m and the unit symbols directly
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     argv = ["torsion", str(corpus / "t2_units_p5.txt"), "--m", "2"]
@@ -580,6 +633,27 @@ def test_route_disagreement_in_r1_and_les(monkeypatch):
     assert not rep.exact
 
 
+def test_wrong_invariant_factor_fails_the_stable_torsion_checks():
+    # the last invariant factor times p: the invariant factors then read
+    # a 3-primary part Z/27 while the local Smith form still reads Z/9,
+    # and every stable-torsion comparison must see it
+    from crystor.cli import _verify_checks
+
+    data = data_of(3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]])
+    assert data.invariants == (1, 1, 396)
+    assert r1crys1_tors(data) == FinAbGroup.cyclic(9)
+    assert les_report(data).exact
+    assert not [name for name, ok, _ in _verify_checks(data, 3, 0) if not ok]
+    object.__setattr__(data, "invariants", (1, 1, 3 * 396))
+    with pytest.raises(RouteDisagreement) as exc:
+        r1crys1_tors(data)
+    assert (exc.value.first, exc.value.second) == (
+        FinAbGroup.cyclic(9), FinAbGroup.cyclic(27))
+    assert les_report(data).exact is False
+    failed = [name for name, ok, _ in _verify_checks(data, 3, 0) if not ok]
+    assert "r1 stabilization" in failed
+
+
 # --- Tate module ------------------------------------------------------
 
 
@@ -587,20 +661,52 @@ def test_tate_module_rank_and_flags():
     rep = crys1_tate_module(data_of(5, [[5]]))
     assert rep.rank == 1 and rep.weight == 1
     assert rep.levels_checked == 6
-    assert rep.reduction_compatible
     assert rep.y_part_vanishes
 
 
 def test_tate_module_rank_three():
     rep = crys1_tate_module(data_of(2, [[2, 1, 0], [1, 3, 1], [0, 1, 4]]))
     assert rep.rank == 3
-    assert rep.reduction_compatible
+    assert rep.y_part_vanishes
 
 
 def test_tate_module_high_valuation_needs_higher_level():
     rep = crys1_tate_module(data_of(2, [[2**7]]))
     assert rep.levels_checked == 8
     assert rep.y_part_vanishes
+
+
+def test_tate_module_builds_one_level(monkeypatch):
+    import crystor.crys
+
+    calls = record_calls(monkeypatch, crystor.crys.crys1_torsion, full=True)
+    data = data_of(2, [[2**7]])
+    assert crys1_tate_module(data).y_part_vanishes
+    assert [m for _, m in calls] == [8]
+
+
+@pytest.mark.parametrize("p, rows", [
+    (5, [[5]]),
+    (3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]]),
+])
+def test_local_valuation_at_the_top_level_fails_the_tate_check(p, rows):
+    # a local valuation of m_top or more leaves a column of V, which p
+    # does not divide, among the top level's y-generators
+    from dataclasses import replace
+
+    from crystor.cli import _verify_checks
+
+    data = data_of(p, rows)
+    rep = crys1_tate_module(data)
+    assert rep.y_part_vanishes
+    assert "tate module coherence" not in [
+        name for name, ok, _ in _verify_checks(data, 1, 0) if not ok]
+    good = data.local
+    object.__setattr__(data, "local", replace(
+        good, valuations=good.valuations[:-1] + (rep.levels_checked,)))
+    assert crys1_tate_module(data).y_part_vanishes is False
+    failed = [name for name, ok, _ in _verify_checks(data, 1, 0) if not ok]
+    assert "tate module coherence" in failed
 
 
 # --- long exact sequence ----------------------------------------------

@@ -236,6 +236,71 @@ def test_pullback_kernel_fault_fails_verify(monkeypatch, fault, expected):
     assert [name for name in failed if name.endswith("m=2")] == expected
 
 
+@pytest.mark.parametrize("name, p, max_m", [("tate_v05_p5.txt", 5, 2),
+                                            ("t3_chain_p2.txt", 2, 3)])
+def test_wrong_x_basis_fails_the_star_pullback(monkeypatch, name, p, max_m):
+    # crys1's x_1 scaled by p: the crys1 group keeps its orders, but its
+    # lattice loses x_1, which the pullback side's x-basis holds
+    import crystor.crys
+
+    real = crystor.crys._x_lifts
+    assert failed_verify_checks(name, max_m) == []
+    monkeypatch.setattr(crystor.crys, "_x_lifts",
+                        lambda t: (tuple(p * x for x in real(t)[0]),) + real(t)[1:])
+    assert f"star pullback at m={max_m}" in failed_verify_checks(name, max_m)
+
+
+def faulty_glue_rows(monkeypatch, fault):
+    """Present every object with zero monodromy with ``fault(rows, r)``
+    in place of its r glue rows, in the pushout layer and in verify.
+    In verify those are the pulled-back objects; the pushout checks'
+    objects carry mu mod p^m, and a glue fault there makes
+    check_mp_exactness raise before verify reports."""
+    from functools import lru_cache
+
+    import crystor.cli
+    import crystor.pushout
+
+    real = mp_presentation.__wrapped__
+
+    @lru_cache(maxsize=8)
+    def present(obj):
+        good = real(obj)
+        if any(obj.nu.matrix.entries):
+            return good
+        rows = fault([list(row) for row in good.relations], obj.etale_rank)
+        return PresentedModule(good.orders, rows)
+
+    monkeypatch.setattr(crystor.pushout, "mp_presentation", present)
+    monkeypatch.setattr(crystor.cli, "mp_presentation", present)
+
+
+def drop_last_glue_row(rows, r):
+    return rows[:-1]
+
+
+def glue_last_row_to_the_first_generator(rows, r):
+    # a_r's relation lands on a_1: a_1 is glued twice and a_r not at
+    # all.  (Moving it onto b_r instead is invisible to the group: b_r
+    # has a_r's order, and the pulled-back monodromy is 0.)
+    if r >= 2:
+        rows[-1][r - 1], rows[-1][0] = 0, 1
+    return rows
+
+
+@pytest.mark.parametrize("fault, name, max_m", [
+    (drop_last_glue_row, "tate_v05_p5.txt", 2),
+    (drop_last_glue_row, "t3_chain_p2.txt", 3),
+    # ker(mu mod 2^m) has two generators at m = 1 and 2
+    (glue_last_row_to_the_first_generator, "t2_diag_p2.txt", 2),
+], ids=["dropped-tate", "dropped-chain", "misplaced-diag"])
+def test_glue_row_fault_fails_the_star_pullback(monkeypatch, fault, name, max_m):
+    assert failed_verify_checks(name, max_m) == []
+    faulty_glue_rows(monkeypatch, fault)
+    assert failed_verify_checks(name, max_m) == [
+        f"star pullback at m={m}" for m in range(1, max_m + 1)]
+
+
 # --- objects and the pushout ------------------------------------------
 
 
