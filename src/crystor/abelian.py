@@ -7,8 +7,9 @@ empty list).  The workhorses are Smith normal form with its transforms
 U, V and V^-1 from one pass (over Z or Z/n), its diagonal alone by
 elimination modulo the determinant, the Smith form over the local ring
 Z/p^k, and a row-style Hermite normal form; on top of them sit kernels, cokernels,
-torsion and primary parts, exactness tests, an exhaustive subgroup
-enumerator, and the primality test that `require_prime` applies to p.
+torsion and primary parts, exactness tests, an enumerator of the
+subgroups of (Z/p)^t as row-reduced subspaces, and the primality test
+that `require_prime` applies to p.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]))
 >>> snf.D.as_rows()
@@ -22,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations, product
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -983,80 +984,20 @@ def is_exact(f: GroupHom, g: GroupHom) -> bool:
 
 # ---------------------------------------------------------------------------
 # subgroup enumeration
-#
-# Subgroups of (Z/n)^t are lattices L with n Z^t ⊆ L ⊆ Z^t, walked in
-# canonical HNF form: a basis row (d, tail) with pivot d | n extends a
-# lower-dimensional lattice Λ exactly when (n/d)·tail ∈ Λ, and reducing
-# the tail into Λ's fundamental region makes the walk hit each subgroup
-# exactly once.
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def subgroup_count_bound(p: int, t: int) -> int:
+    """The number of subgroups of (Z/p)^t for prime p, the Galois number
+    G_t(p) = sum_k [t choose k]_p; the recurrence
+    G_{k+1} = 2 G_k + (p^k - 1) G_{k-1} gives it without enumeration.
 
-
-def subgroup_count_bound(n: int, t: int) -> int:
-    """Lower bound on the number of subgroups of (Z/n)^t, exact for prime n.
-
-    It is the product, over the primes p | n, of the Galois number
-    G_t(p) = sum_k [t choose k]_p, the number of subgroups of the
-    p-torsion (Z/p)^t; the recurrence G_{k+1} = 2 G_k + (p^k - 1) G_{k-1}
-    gives it without enumeration.
-
-    >>> subgroup_count_bound(2, 9), subgroup_count_bound(6, 2)
-    (8283458, 30)
+    >>> subgroup_count_bound(2, 9), subgroup_count_bound(3, 2)
+    (8283458, 6)
     """
-    bound = 1
-    for p in _divisors(n):
-        if p > 1 and all(p % q for q in range(2, p)):
-            prev, cur = 1, 2  # G_0, G_1
-            for k in range(1, t):
-                prev, cur = cur, 2 * cur + (p**k - 1) * prev
-            bound *= cur
-    return bound
-
-
-def _extension_tails(n: int, d: int, basis, dim: int):
-    """All canonical tails v with (n/d)·v in the lattice of ``basis``."""
-    if dim == 0:
-        return [()]
-    c = n // d
-    w = IntMatrix.from_rows(basis)
-    snf = smith_normal_form(w)
-    diag = snf.diagonal()
-    # in V-coordinates the lattice is diag(d_i)Z^dim, so the stretch factors
-    # of the preimage under multiplication by c are d_i / gcd(d_i, c)
-    m_rows = []
-    for i in range(dim):
-        k = diag[i] // gcd(diag[i], c)
-        m_rows.append([k * x for x in snf.Vinv.row(i)])
-    m_basis = hnf_rows(m_rows, dim)
-    ratios = [basis[i][i] // m_basis[i][i] for i in range(dim)]
-    reps = []
-    counters = [0] * dim
-    while True:
-        vec = [0] * dim
-        for i, ci in enumerate(counters):
-            if ci:
-                for t in range(dim):
-                    vec[t] += ci * m_basis[i][t]
-        # reduce into the fundamental region of the lower lattice
-        for i in range(dim):
-            q = vec[i] // basis[i][i]
-            if q:
-                for t in range(dim):
-                    vec[t] -= q * basis[i][t]
-        reps.append(tuple(vec))
-        # odometer over prod(ratios)
-        for i in range(dim - 1, -1, -1):
-            counters[i] += 1
-            if counters[i] < ratios[i]:
-                break
-            counters[i] = 0
-        else:
-            break
-    return reps
+    prev, cur = 1, 2  # G_0, G_1
+    for k in range(1, t):
+        prev, cur = cur, 2 * cur + (p**k - 1) * prev
+    return cur
 
 
 def require_element_budget(n: int, t: int) -> int:
@@ -1070,65 +1011,47 @@ def require_element_budget(n: int, t: int) -> int:
     return limit
 
 
-def enumerate_subgroups(n: int, t: int):
-    """Every subgroup of (Z/n)^t exactly once, as tuples of generators.
+def enumerate_subgroups(p: int, t: int):
+    """Every subgroup of (Z/p)^t exactly once, for prime p, as tuples of
+    generators.
 
-    Generators are the canonical HNF basis rows with pivot < n, reduced
-    mod n; the trivial subgroup is the empty tuple.  Raises
-    BudgetExceeded when n**t, or the number of subgroups, is larger than
-    enum_budget() (default 2**16, set by CRYSTOR_ENUM_BUDGET).  A group
-    whose subgroup_count_bound already exceeds the budget, such as
-    (Z/2)^9 with 8.3 million subgroups but only 512 elements, is refused
-    before any walking; the others are checked while each rank's list
-    grows.
+    A subgroup is a subspace over Z/p, and its generators are its basis
+    in reduced row echelon form: for each set of pivot columns, every
+    choice of the entries right of a pivot that lie outside the pivot
+    columns.  The trivial subgroup is the empty tuple.  Raises
+    BadModulus unless p is a prime, and BudgetExceeded when p**t, or the
+    number of subgroups (subgroup_count_bound), is larger than
+    enum_budget() (default 2**16, set by CRYSTOR_ENUM_BUDGET).  So
+    (Z/2)^9, with 8.3 million subgroups but only 512 elements, is
+    refused before any walking.
 
     >>> sorted(len(s) for s in enumerate_subgroups(2, 1))
     [0, 1]
     >>> len(enumerate_subgroups(2, 2))
     5
     """
-    if n < 2:
-        raise BadModulus("subgroup enumeration needs n >= 2")
+    if not _is_prime(p):
+        raise BadModulus(f"subgroup enumeration needs a prime modulus, not {p}")
     if t < 1:
         raise ShapeMismatch("rank must be >= 1")
-    limit = require_element_budget(n, t)
-    if subgroup_count_bound(n, t) > limit:
-        _subgroup_budget_exceeded(n, t, limit)
-    return _enumerate_subgroups(n, t, limit)
-
-
-def _subgroup_budget_exceeded(n: int, t: int, limit: int):
-    raise BudgetExceeded(
-        f"(Z/{n})^{t} has more than {limit} subgroups, "
-        f"the enumeration budget"
-    )
-
-
-def _enumerate_subgroups(n: int, t: int, limit: int):
-    divisors = _divisors(n)
-    level = [()]  # bases in dimension 0
-    for dim in range(1, t + 1):
-        grown = []
-        for basis in level:
-            lower = [list(r) for r in basis]
-            for d in divisors:
-                for tail in _extension_tails(n, d, lower, dim - 1):
-                    row = (d,) + tail
-                    grown.append((row,) + tuple((0,) + r for r in basis))
-            if len(grown) > limit:
-                _subgroup_budget_exceeded(n, t, limit)
-        level = grown
-    out = []
-    for basis in level:
-        gens = tuple(
-            tuple(x % n for x in row) for row in basis if row[_pivot_index(row)] < n
+    limit = require_element_budget(p, t)
+    count = subgroup_count_bound(p, t)
+    if count > limit:
+        raise BudgetExceeded(
+            f"(Z/{p})^{t} has {count} subgroups, more than the "
+            f"enumeration budget {limit}"
         )
-        out.append(gens)
+    out = []
+    for k in range(t + 1):
+        for pivots in combinations(range(t), k):
+            free = [(i, j) for i, c in enumerate(pivots)
+                    for j in range(c + 1, t) if j not in pivots]
+            for values in product(range(p), repeat=len(free)):
+                rows = [[int(j == c) for j in range(t)] for c in pivots]
+                for (i, j), x in zip(free, values):
+                    rows[i][j] = x
+                out.append(tuple(map(tuple, rows)))
     return tuple(out)
-
-
-def _pivot_index(row) -> int:
-    return next(i for i, x in enumerate(row) if x)
 
 
 def extend_span(elements: frozenset, g, n: int) -> frozenset:

@@ -38,7 +38,7 @@ class SingularMatrix(ArtifactError):
 
 
 class BadModulus(ArtifactError):
-    """A modulus that must be >= 2 is not."""
+    """A modulus that must be >= 2, or prime, is not."""
 
 
 class BadLevel(ArtifactError):

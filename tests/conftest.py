@@ -1,11 +1,13 @@
 """Shared fixtures: the randomized matrix corpus used by the
-acceptance criteria.
+acceptance criteria, and a closure walk over subgroups that needs no
+enumerator.
 
 The corpus is seeded (override with CRYSTOR_TEST_SEED) and built once
 per session.  Strict diagonal dominance with positive diagonal keeps
 every draw symmetric positive definite without a definiteness search.
 """
 
+import itertools
 import os
 import random
 
@@ -51,3 +53,42 @@ def matrix_corpus() -> list[DegenerationData]:
             data.validate()
             corpus.append(data)
     return corpus
+
+
+def _close(gens, n: int, t: int) -> frozenset:
+    elems = {(0,) * t}
+    frontier = list(gens)
+    while frontier:
+        g = frontier.pop()
+        fresh = {tuple((a + b) % n for a, b in zip(e, g)) for e in elems} - elems
+        elems |= fresh
+        frontier.extend(fresh)
+    while True:
+        more = {tuple((a + b) % n for a, b in zip(x, y))
+                for x in elems for y in elems} - elems
+        if not more:
+            return frozenset(elems)
+        elems |= more
+
+
+def _subgroups_by_closure(n: int, t: int) -> set[frozenset]:
+    elements = list(itertools.product(range(n), repeat=t))
+    brute = {_close([], n, t)}
+    frontier = list(brute)
+    while frontier:
+        s = frontier.pop()
+        for g in elements:
+            if g not in s:
+                bigger = _close(list(s) + [g], n, t)
+                if bigger not in brute:
+                    brute.add(bigger)
+                    frontier.append(bigger)
+    return brute
+
+
+@pytest.fixture(scope="session")
+def subgroups_by_closure():
+    """Every subgroup of (Z/n)^t, for any n >= 2, as its set of
+    elements: start from {0} and keep adding one element and closing
+    under addition, until no new subgroup turns up."""
+    return _subgroups_by_closure

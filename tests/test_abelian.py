@@ -456,20 +456,19 @@ KNOWN_COUNTS = {
     (3, 2): 6,
     (4, 2): 15,
     (2, 3): 16,
-    (8, 2): 37,
-    (4, 3): 129,
-    (9, 2): 23,
     (3, 3): 28,
 }
 
 
 @pytest.mark.parametrize("n,t", sorted(KNOWN_COUNTS))
-def test_subgroup_counts(n, t):
-    subs = enumerate_subgroups(n, t)
+def test_subgroup_counts(n, t, subgroups_by_closure):
+    # the enumerator takes prime moduli only; at n = 4 the count pins
+    # the closure walk that test_pushout runs over (Z/4)^2
+    subs = subgroups_by_closure(n, t) if n == 4 else enumerate_subgroups(n, t)
     assert len(subs) == KNOWN_COUNTS[(n, t)]
 
 
-@pytest.mark.parametrize("n,t", [(2, 2), (4, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("n,t", [(2, 2), (5, 2), (3, 2), (2, 3)])
 def test_subgroups_distinct_and_closed(n, t):
     subs = enumerate_subgroups(n, t)
     seen = set()
@@ -482,40 +481,12 @@ def test_subgroups_distinct_and_closed(n, t):
                 assert tuple((a + b) % n for a, b in zip(x, y)) in elems
 
 
-def test_subgroups_match_closure_oracle():
-    """The HNF walk finds exactly the subgroups the naive closure walk finds."""
-    import itertools
-
-    n, t = 4, 2
-    elements = list(itertools.product(range(n), repeat=t))
-
-    def close(gens):
-        elems = {(0,) * t}
-        frontier = list(gens)
-        while frontier:
-            g = frontier.pop()
-            fresh = {tuple((a + b) % n for a, b in zip(e, g)) for e in elems} - elems
-            elems |= fresh
-            frontier.extend(fresh)
-        while True:
-            more = {tuple((a + b) % n for a, b in zip(x, y))
-                    for x in elems for y in elems} - elems
-            if not more:
-                return frozenset(elems)
-            elems |= more
-
-    brute = {close([])}
-    frontier = [close([])]
-    while frontier:
-        s = frontier.pop()
-        for g in elements:
-            if g not in s:
-                bigger = close(list(s) + [g])
-                if bigger not in brute:
-                    brute.add(bigger)
-                    frontier.append(bigger)
-    mine = {subgroup_elements(gens, n, t) for gens in enumerate_subgroups(n, t)}
-    assert mine == brute
+def test_subgroups_match_closure_oracle(subgroups_by_closure):
+    """The row-reduced walk finds exactly the subgroups the naive closure
+    walk finds."""
+    for n, t in [(3, 2), (2, 3)]:
+        mine = {subgroup_elements(gens, n, t) for gens in enumerate_subgroups(n, t)}
+        assert mine == subgroups_by_closure(n, t), (n, t)
 
 
 def test_subgroup_budget(monkeypatch):
@@ -530,12 +501,15 @@ def test_subgroup_budget_env_override(monkeypatch):
         enumerate_subgroups(3, 2)
     monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "100")
     assert len(enumerate_subgroups(3, 2)) == 6
-    # the environment is the only override: 16 elements and 15 subgroups
+    # the environment is the only override: 16 elements and 67 subgroups
     monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "15")
-    with pytest.raises(BudgetExceeded):
-        enumerate_subgroups(4, 2)
-    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "16")
-    assert len(enumerate_subgroups(4, 2)) == 15
+    with pytest.raises(BudgetExceeded, match="elements"):
+        enumerate_subgroups(2, 4)
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "66")
+    with pytest.raises(BudgetExceeded, match="subgroups"):
+        enumerate_subgroups(2, 4)
+    monkeypatch.setenv("CRYSTOR_ENUM_BUDGET", "67")
+    assert len(enumerate_subgroups(2, 4)) == 67
 
 
 def test_subgroup_budget_counts_subgroups(monkeypatch):
@@ -559,7 +533,7 @@ def test_no_library_function_takes_a_budget():
 
 def test_subgroup_budget_stops_z2_rank_nine(monkeypatch):
     # 512 elements pass the element budget, but its 8,283,458 subgroups
-    # must not be listed: the count bound refuses before any walking
+    # must not be listed: the subgroup count refuses before any walking
     import time
 
     monkeypatch.delenv("CRYSTOR_ENUM_BUDGET", raising=False)
@@ -572,12 +546,6 @@ def test_subgroup_budget_stops_z2_rank_nine(monkeypatch):
 def test_subgroup_count_bound_is_exact_for_prime_moduli():
     for n, t in [(2, 1), (2, 4), (2, 6), (3, 3), (3, 4), (5, 3), (7, 2), (11, 2)]:
         assert subgroup_count_bound(n, t) == len(enumerate_subgroups(n, t)), (n, t)
-
-
-def test_subgroup_count_bound_is_a_lower_bound():
-    for n, t in [(4, 1), (4, 2), (4, 3), (6, 1), (6, 2), (6, 3), (8, 2),
-                 (8, 3), (9, 2), (9, 3), (12, 1), (12, 2)]:
-        assert subgroup_count_bound(n, t) <= len(enumerate_subgroups(n, t)), (n, t)
 
 
 def test_diagonal_rows():
@@ -593,8 +561,9 @@ def test_subgroup_budget_env_rejects_bad_values(monkeypatch, raw):
 
 
 def test_subgroup_bad_modulus():
-    with pytest.raises(BadModulus):
-        enumerate_subgroups(1, 2)
+    for n in (1, 4, 6, 9, 15):
+        with pytest.raises(BadModulus, match="prime"):
+            enumerate_subgroups(n, 2)
 
 
 # ---------------------------------------------------------------------------

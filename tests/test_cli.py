@@ -459,8 +459,9 @@ def test_verify_reads_the_level_tower_from_one_les_report(monkeypatch):
 
 
 def test_verify_builds_each_presentation_once(capsys, monkeypatch):
-    # each level presents its star pullback's middle term, and the
-    # pushout checks present obj and obj ⊕ obj; each is presented once,
+    # each level presents its own object's and its star pullback's
+    # middle terms, and the pushout checks present obj (the level-2
+    # object, already presented) and obj ⊕ obj; each is presented once,
     # however many maps are transported through it and however many
     # equal copies are built
     from crystor.pushout import PresentedModule, mp_presentation
@@ -477,7 +478,7 @@ def test_verify_builds_each_presentation_once(capsys, monkeypatch):
     code, out, _ = run_main(
         capsys, ["verify", str(CORPUS / "t3_dense_p5.txt"), "--max-m", "3"])
     assert code == 0 and "FAIL" not in out
-    assert len(built) == 3 + 2
+    assert len(built) == 2 * 3 + 1
     assert len(set(built)) == len(built)
 
 

@@ -146,14 +146,20 @@ def faulty_smith_normal_form(monkeypatch, fault):
     monkeypatch.setattr(crystor.cli, "mp_presentation", fresh)
 
 
-def failed_verify_checks(name, max_m):
+def failed_verify_details(name, max_m):
+    """(name, detail) of each check that ``verify`` fails on a corpus
+    file; the run must report rather than raise."""
     from crystor.cli import run_command
 
     corpus = Path(__file__).resolve().parent.parent / "corpus"
     report, code = run_command(["verify", str(corpus / name), "--max-m", str(max_m)])
-    failed = [c["name"] for c in report.payload["checks"] if not c["ok"]]
+    failed = [(c["name"], c["detail"]) for c in report.payload["checks"] if not c["ok"]]
     assert (code == 2) == bool(failed)
     return failed
+
+
+def failed_verify_checks(name, max_m):
+    return [check for check, _ in failed_verify_details(name, max_m)]
 
 
 def test_presentation_modulus_missing_a_factor_fails_the_pushout(monkeypatch):
@@ -195,11 +201,16 @@ def test_presentation_inverse_off_by_one_fails_a_check(monkeypatch):
 
 
 @pytest.mark.parametrize("name, p, max_m", [("tate_v05_p5.txt", 5, 2),
-                                            ("t3_chain_p2.txt", 2, 3)])
+                                            ("t3_chain_p2.txt", 2, 3),
+                                            ("t3_dense_p5.txt", 5, 1),
+                                            ("t2_big_p5.txt", 5, 1)])
 def test_presentation_modulus_below_the_level_fails_the_star_pullback(
         monkeypatch, name, p, max_m):
     # over Z/(n/p) a kernel factor of order n/p reads as gcd(0, n) = n,
-    # so the presented middle term of the pulled-back object is too big
+    # so the presented middle term of the pulled-back object is too big;
+    # where mu mod p^m has a trivial kernel (the last two files), the
+    # pulled-back object has no etale part, but the level object's glue
+    # rows vanish over Z/1 at m = 1 and leave its middle term too big
     assert failed_verify_checks(name, max_m) == []
     faulty_smith_normal_form(
         monkeypatch, lambda real, m, modulus: real(m, modulus // p))
@@ -250,12 +261,13 @@ def test_wrong_x_basis_fails_the_star_pullback(monkeypatch, name, p, max_m):
     assert f"star pullback at m={max_m}" in failed_verify_checks(name, max_m)
 
 
-def faulty_glue_rows(monkeypatch, fault):
-    """Present every object with zero monodromy with ``fault(rows, r)``
-    in place of its r glue rows, in the pushout layer and in verify.
-    In verify those are the pulled-back objects; the pushout checks'
-    objects carry mu mod p^m, and a glue fault there makes
-    check_mp_exactness raise before verify reports."""
+def faulty_glue_rows(monkeypatch, fault, every_object=False):
+    """Present every object with zero monodromy, or every object at
+    all, with ``fault(rows, r)`` in place of its r glue rows, in the
+    pushout layer and in verify.  In verify the objects with zero
+    monodromy are the pulled-back ones (and a level object where mu
+    mod p^m is 0); the level objects and the pushout checks' objects
+    carry mu mod p^m."""
     from functools import lru_cache
 
     import crystor.cli
@@ -266,7 +278,7 @@ def faulty_glue_rows(monkeypatch, fault):
     @lru_cache(maxsize=8)
     def present(obj):
         good = real(obj)
-        if any(obj.nu.matrix.entries):
+        if any(obj.nu.matrix.entries) and not every_object:
             return good
         rows = fault([list(row) for row in good.relations], obj.etale_rank)
         return PresentedModule(good.orders, rows)
@@ -299,6 +311,28 @@ def test_glue_row_fault_fails_the_star_pullback(monkeypatch, fault, name, max_m)
     faulty_glue_rows(monkeypatch, fault)
     assert failed_verify_checks(name, max_m) == [
         f"star pullback at m={m}" for m in range(1, max_m + 1)]
+
+
+@pytest.mark.parametrize("fault, name, raised, failed", [
+    (drop_last_glue_row, "tate_v05_p5.txt", "RouteDisagreement",
+     ["split triple exact"]),
+    (drop_last_glue_row, "t3_dense_p5.txt", "RouteDisagreement",
+     ["split triple exact"]),
+    # a_1 glued twice leaves a map that does not respect the orders
+    (glue_last_row_to_the_first_generator, "tate_v05_p5.txt", "ShapeMismatch",
+     ["split triple exact", "broken triple rejected"]),
+    (glue_last_row_to_the_first_generator, "t3_chain_p2.txt", "ShapeMismatch",
+     ["split triple exact", "broken triple rejected"]),
+], ids=["dropped-tate", "dropped-dense", "misplaced-tate", "misplaced-chain"])
+def test_glue_row_fault_in_the_pushout_checks_is_reported(
+        monkeypatch, fault, name, raised, failed):
+    # the error raised inside a pushout check becomes that check's FAIL
+    # line, and the rest of the report still prints
+    assert failed_verify_checks(name, 2) == []
+    faulty_glue_rows(monkeypatch, fault, every_object=True)
+    details = dict(failed_verify_details(name, 2))
+    for check in failed:
+        assert details[check].startswith(f"{raised}: "), details
 
 
 # --- objects and the pushout ------------------------------------------
@@ -429,10 +463,13 @@ def test_pullback_generic_fiber_always_crystalline(data):
     assert mp_presentation(sub).group == middle_term_group(sub)
 
 
-def test_pullback_is_maximal_among_subgroups():
-    from crystor.abelian import enumerate_subgroups, hnf_rows, lattice_solve
+def test_pullback_is_maximal_among_subgroups(subgroups_by_closure):
+    # over every subgroup of (Z/4)^2, each given by all of its elements
+    from crystor.abelian import hnf_rows, lattice_solve
 
     n, t = 4, 2
+    subgroups = subgroups_by_closure(n, t)
+    assert len(subgroups) == 15
     nu_rows = [[2, 0], [0, 4]]
     obj = free_obj(n, 1, t, [nu_rows[0]])  # s=1 row [[2,0]] keeps it light
     _, kernel_gens = star_pullback(obj)
@@ -441,7 +478,7 @@ def test_pullback_is_maximal_among_subgroups():
                                              for i in range(t)],
         t,
     )
-    for gens in enumerate_subgroups(n, t):
+    for gens in subgroups:
         vanishes = all(
             all(
                 sum(obj.nu.matrix.entry(i, j) * g[j] for j in range(t)) % n == 0
