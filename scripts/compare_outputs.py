@@ -14,8 +14,10 @@ les at caps 1, 2, 12 and 20 and at their default, ``verify --max-m
 ``component-group`` on seeded positive-definite inputs with a 3-part
 at t = 8, 16 and 32, ``crys1 --oracle`` and ``verify --max-m 1`` on two
 seeded inputs at each large key (p, m, t) of the oracle-enum benchmark
-workload, ``crys1 --oracle`` with mu = 2I on (Z/2)^16 (all written to a
-temporary directory), 18 tate cases,
+workload, ``crys1 --oracle`` with mu = 2I on (Z/2)^16,
+``component-group``, ``crys1 --m 2`` and ``verify --max-m 2`` on the
+cycle pairings of the complete graphs K_5, K_6 and K_9 at p = 5, 2 and
+3 (all written to a temporary directory), 18 tate cases,
 ``tate --v 5 --m 1`` at five values of p that reach both branches of
 the prime test (strong pseudoprimes included), three levels whose
 modulus has more than 4,300 digits and a set of error cases, each with
@@ -106,8 +108,28 @@ def write_budget_input(directory: Path) -> str:
     return write_input(directory / "twice_identity_t16_p2.txt", 2, two)
 
 
-def argument_lists(sweep_paths, oracle_inputs,
-                   budget_path) -> list[tuple[list[str], dict]]:
+# (n, p) of the complete-graph inputs, whose p-parts are (Z/5)^3, (Z/2)^4
+# and (Z/9)^7
+COMPLETE_GRAPHS = ((5, 5), (6, 2), (9, 3))
+
+
+def complete_graph_pairing(n: int) -> list[list[int]]:
+    """mu of K_n with unit edge lengths, on the fundamental cycles of the
+    star spanning tree at vertex 0: chord {i, j} closes 0 -> i -> j -> 0."""
+    cycles = [{(0, i): 1, (i, j): 1, (0, j): -1}
+              for i in range(1, n) for j in range(i + 1, n)]
+    return [[sum(c.get(e, 0) * x for e, x in d.items()) for d in cycles]
+            for c in cycles]
+
+
+def write_complete_graph_inputs(directory: Path) -> list[str]:
+    return [write_input(directory / f"complete_k{n}_p{p}.txt", p,
+                        complete_graph_pairing(n))
+            for n, p in COMPLETE_GRAPHS]
+
+
+def argument_lists(sweep_paths, oracle_inputs, budget_path,
+                   graph_paths) -> list[tuple[list[str], dict]]:
     """(argv, environment overrides) for every run, without --json."""
     runs = []
     for path in sorted((ROOT / "corpus").glob("*.txt")):
@@ -130,6 +152,9 @@ def argument_lists(sweep_paths, oracle_inputs,
         runs.append((["crys1", f, "--m", str(m), "--oracle"], {}))
         runs.append((["verify", f, "--max-m", "1", "--seed", "7"], {}))
     runs.append((["crys1", budget_path, "--m", "1", "--oracle"], {}))
+    for f in graph_paths:
+        runs += [(["component-group", f], {}), (["crys1", f, "--m", "2"], {}),
+                 (["verify", f, "--max-m", "2"], {})]
     for v, p, m in TATE_CASES:
         runs.append((["tate", "--v", str(v), "--p", str(p), "--m", str(m)], {}))
     for p in PRIME_TEST_CASES:
@@ -215,7 +240,8 @@ def main() -> int:
         runs = [(argv + extra, env)
                 for argv, env in argument_lists(write_sweep_inputs(Path(tmp)),
                                                 write_oracle_inputs(Path(tmp)),
-                                                write_budget_input(Path(tmp)))
+                                                write_budget_input(Path(tmp)),
+                                                write_complete_graph_inputs(Path(tmp)))
                 for extra in ([], ["--json"])]
         mine, theirs = run_tree(ROOT, runs), run_tree(other, runs)
     differ = Counter()

@@ -50,7 +50,6 @@ from .pushout import (
     ExtNuObject,
     check_mp_exactness,
     degeneration_object,
-    generic_fiber,
     mp_pushout,
     star_pullback,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "crys1_torsion",
     "degeneration_object",
     "enumerate_subgroups",
-    "generic_fiber",
     "is_exact",
     "is_one_crystalline",
     "kernel_mod_n",

@@ -6,10 +6,11 @@ form d_1 | d_2 | ... | d_k with every d_i >= 2 (the trivial group is the
 empty list).  The workhorses are Smith normal form with its transforms
 U, V and V^-1 from one pass (over Z or Z/n), its diagonal alone by
 elimination modulo the determinant, the Smith form over the local ring
-Z/p^k, and a row-style Hermite normal form; on top of them sit kernels, cokernels,
-torsion and primary parts, exactness tests, an enumerator of the
-subgroups of (Z/p)^t as row-reduced subspaces, and the primality test
-that `require_prime` applies to p.
+Z/p^k, and the row-style Hermite normal form of a subgroup lattice,
+computed modulo the exponent of its orders; on top of them sit kernels,
+cokernels, torsion and primary parts, exactness tests, an enumerator of
+the subgroups of (Z/p)^t as row-reduced subspaces, and the primality
+test that `require_prime` applies to p.
 
 >>> snf = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]))
 >>> snf.D.as_rows()
@@ -503,91 +504,85 @@ def local_smith(m: IntMatrix, p: int, k: int) -> LocalSmith:
 
 
 # ---------------------------------------------------------------------------
-# row-style Hermite normal form and lattice utilities
+# row-style Hermite normal form modulo the exponent, and lattice utilities
 #
-# Lattices are given by their generating rows.  hnf_rows returns the unique
-# echelon basis with positive pivots and entries above each pivot reduced
+# A subgroup of ⊕ Z/e_i is a lattice L with E·Z^d ⊆ L ⊆ Z^d, E = diag(e_i),
+# given by generating rows.  hnf_rows returns its unique basis: square,
+# upper triangular with positive pivots, entries above each pivot reduced
 # into [0, pivot); it is the canonical form used to compare subgroups.
 
 
-def hnf_rows(rows, dim: int):
-    """Canonical row HNF of the lattice spanned by ``rows`` in Z^dim.
+def hnf_rows(rows, orders):
+    """Canonical row HNF of the lattice L in Z^d spanned by ``rows`` and
+    the e_i·u_i, the e_i being the positive ``orders`` and d their number.
 
-    Pivoting reads the first ``dim`` columns only.  Entries of a row
-    beyond them are passengers, combined along with it, so appending
-    the identity to the rows recovers the transform.  Returns a list of
-    nonzero basis rows.
+    L contains D·Z^d, D = lcm(e_i), so every entry is kept modulo D
+    (Cohen, *A Course in Computational Algebraic Number Theory*,
+    Alg. 2.4.8).  When column c is reached the working rows vanish left
+    of c, and they span L together with the basis rows so far and the
+    e_j·u_j for j >= c.  Reducing them modulo D moves them by multiples
+    of D·u_j with j > c only, which lie in the span of the e_j·u_j still
+    to come.  The carrier starts as e_c·u_c and takes the Euclid steps
+    with the rows that reach column c, so its pivot divides e_c.  In the
+    finished basis, row i has its pivot in column i; reducing a row
+    modulo D right of its pivot keeps every pivot and stays inside L, so
+    it keeps the lattice.
 
-    >>> hnf_rows([[2, 4], [0, 3]], 2)
+    >>> hnf_rows([[2, 4]], (6, 3))
     [[2, 1], [0, 3]]
     """
-    work = [list(r) for r in rows]
-    basis = []  # finished rows, by increasing pivot column
-    for col in range(dim):
-        carrier = None
+    mod = lcm(*orders)
+    work = [[x % mod for x in r] for r in rows]
+    basis = []
+    for c, e in enumerate(orders):
+        carrier = [0] * len(orders)
+        carrier[c] = e
         rest = []
         for r in work:
-            if r[col] == 0:
+            while r[c]:
+                q = carrier[c] // r[c]
+                carrier, r = r, [(x - q * y) % mod for x, y in zip(carrier, r)]
+            if any(r):
                 rest.append(r)
-                continue
-            if carrier is None:
-                carrier = r
-                continue
-            # Euclid on the two leading entries
-            while r[col]:
-                q = carrier[col] // r[col]
-                if q:
-                    for t in range(len(carrier)):
-                        carrier[t] -= q * r[t]
-                carrier, r = r, carrier
-            rest.append(r)
         work = rest
-        if carrier is not None:
-            if carrier[col] < 0:
-                carrier = [-x for x in carrier]
-            basis.append(carrier)
-    # reduce entries above each pivot
-    for idx, row in enumerate(basis):
-        pivot_col = next(c for c in range(dim) if row[c])
-        for above in basis[:idx]:
-            q = above[pivot_col] // row[pivot_col]
+        basis.append(carrier)
+    # reduce the entries above each pivot; a pivot may equal D, so only
+    # the columns from i on are taken modulo D
+    for i, row in enumerate(basis):
+        for above in basis[:i]:
+            q = above[i] // row[i]
             if q:
-                for t in range(len(row)):
-                    above[t] -= q * row[t]
+                above[i:] = [(x - q * y) % mod for x, y in zip(above[i:], row[i:])]
     return basis
 
 
-def lattice_solve(basis, vec, dim: int):
-    """Coordinates of ``vec`` in the HNF basis, or None if not a member.
+def lattice_solve(basis, vec):
+    """Coordinates of ``vec`` in an hnf_rows basis, or None if not a member.
 
-    >>> basis = hnf_rows([[2, 1], [0, 3]], 2)
-    >>> lattice_solve(basis, [4, 5], 2), lattice_solve(basis, [1, 0], 2)
+    >>> basis = hnf_rows([[2, 1]], (6, 3))
+    >>> lattice_solve(basis, [4, 5]), lattice_solve(basis, [1, 0])
     ([2, 1], None)
     """
     v = list(vec)
-    coords = [0] * len(basis)
-    pivot_of = [next(c for c in range(dim) if row[c]) for row in basis]
-    for idx in range(len(basis)):
-        col = pivot_of[idx]
-        if v[col] == 0:
-            continue
-        if v[col] % basis[idx][col]:
+    coords = []
+    for i, row in enumerate(basis):
+        q, r = divmod(v[i], row[i])
+        if r:
             return None
-        q = v[col] // basis[idx][col]
-        coords[idx] = q
-        for t in range(dim):
-            v[t] -= q * basis[idx][t]
-    return coords if not any(v) else None
+        coords.append(q)
+        if q:
+            v[i:] = [x - q * y for x, y in zip(v[i:], row[i:])]
+    return coords
 
 
 def quotient_orders(sup_basis, orders) -> list[int]:
     """Cyclic orders presenting (lattice of sup_basis) / (⊕ e_i Z), the
     e_i being ``orders``, by a Smith form over Z/n, n = lcm(e_i).
 
-    ``sup_basis`` must be a full-rank HNF basis whose lattice contains
+    ``sup_basis`` must be an hnf_rows basis whose lattice contains
     every e_i times the i-th unit vector.
 
-    >>> quotient_orders(hnf_rows([[2, 1], [0, 3]], 2), (6, 6))
+    >>> quotient_orders(hnf_rows([[2, 1]], (6, 6)), (6, 6))
     [1, 6]
     """
     if not orders:
@@ -595,7 +590,7 @@ def quotient_orders(sup_basis, orders) -> list[int]:
     n, dim = lcm(*orders), len(orders)
     coords = []
     for i, e in enumerate(orders):
-        c = lattice_solve(sup_basis, [e * (j == i) for j in range(dim)], dim)
+        c = lattice_solve(sup_basis, [e * (j == i) for j in range(dim)])
         if c is None:
             raise ShapeMismatch("sublattice is not contained in the overlattice")
         coords.append(c)
@@ -918,22 +913,18 @@ class GroupHom:
 
     # -- subgroup computations (lattice method) -----------------------------
     #
-    # A subgroup of the target ⊕ Z/e_i is a lattice L with E Z^l ⊆ L ⊆ Z^l,
-    # E = diag(e_i); subgroups are compared by the canonical HNF of L.
+    # subgroups are compared by the canonical HNF of their lattices
 
     def image_lattice(self):
         """HNF basis of the image subgroup's lattice inside Z^target_rank."""
-        cols = [list(self.matrix.column(j)) for j in range(self.source.rank)]
-        return hnf_rows(cols + diagonal_rows(self.target.invariant_factors),
-                        self.target.rank)
+        cols = [self.matrix.column(j) for j in range(self.source.rank)]
+        return hnf_rows(cols, self.target.invariant_factors)
 
     def kernel_lattice(self):
         """HNF basis of the kernel subgroup's lattice inside Z^source_rank."""
         k, l = self.source.rank, self.target.rank
-        if k == 0:
-            return []
-        if l == 0:
-            return hnf_rows(diagonal_rows((1,) * k), k)
+        if k == 0 or l == 0:  # the whole source
+            return hnf_rows([], (1,) * k)
         # B_i x ≡ 0 mod e_i is (n / e_i) B_i x ≡ 0 mod n, n = lcm(e_i); the
         # source orders lie in that kernel, since the map respects them
         n = lcm(*self.target.invariant_factors)
@@ -941,8 +932,7 @@ class GroupHom:
             [[n // e * x for x in self.matrix.row(i)]
              for i, e in enumerate(self.target.invariant_factors)]
         )
-        members = kernel_mod_n(scaled, n)[1]
-        return hnf_rows([*members, *diagonal_rows((n,) * k)], k)
+        return hnf_rows(kernel_mod_n(scaled, n)[1], (n,) * k)
 
     def kernel(self) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
         basis = self.kernel_lattice()

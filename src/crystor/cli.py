@@ -592,8 +592,8 @@ def _verify_checks(data: DegenerationData, max_m: int,
         level_by_class = middle_term_group(level_obj)
         presented = mp_presentation(sub).group
         by_class = middle_term_group(sub)
-        rows = diagonal_rows((1,) * t + (n,) * t) + [(0,) * t + g for g in gens]
-        same_lattice = hnf_rows(rows, 2 * t) == rep.lattice()
+        rows = [(0,) * t + g for g in gens]
+        same_lattice = hnf_rows(rows, (1,) * t + (n,) * t) == rep.lattice()
         add(f"star pullback at m={m}",
             level_presented == level_by_class
             and presented == by_class == rep.group and same_lattice,

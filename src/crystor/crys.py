@@ -47,7 +47,6 @@ from math import gcd
 from .abelian import (
     FinAbGroup,
     IntMatrix,
-    diagonal_rows,
     extend_span,
     hnf_rows,
     local_smith,
@@ -86,9 +85,7 @@ class Crys1Report:
 
     def lattice(self):
         """Canonical HNF basis of the subgroup's lattice in Z^{2t}."""
-        dim = 2 * self.t
-        rows = [list(g) for g in self.generators] + diagonal_rows((self.n,) * dim)
-        return hnf_rows(rows, dim)
+        return hnf_rows(self.generators, (self.n,) * (2 * self.t))
 
     def describe(self) -> str:
         if not self.generator_orders:

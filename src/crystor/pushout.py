@@ -32,7 +32,7 @@ from .abelian import (
 )
 from .degen import DegenerationData, raynaud_decompose
 from .errors import BadInput, NotAMorphism, RouteDisagreement, ShapeMismatch
-from .kummer import ExtClass, KummerClass, baer_sum, is_one_crystalline
+from .kummer import ExtClass, KummerClass, is_one_crystalline
 
 
 @dataclass(frozen=True)
@@ -212,11 +212,6 @@ def mp_pushout(obj: ExtNuObject) -> ExtClass:
             "presentation route disagrees with class route on the middle term",
             presented, by_class)
     return ExtClass.from_val_matrix(obj.n, obj.nu.matrix)
-
-
-def generic_fiber(obj: ExtNuObject) -> ExtClass:
-    """The generic-fiber class: prolongable part plus pushout class."""
-    return baer_sum(obj.eta_ok, mp_pushout(obj))
 
 
 # ---------------------------------------------------------------------------

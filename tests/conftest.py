@@ -92,3 +92,49 @@ def subgroups_by_closure():
     elements: start from {0} and keep adding one element and closing
     under addition, until no new subgroup turns up."""
     return _subgroups_by_closure
+
+
+def _integer_hnf_rows(rows, dim: int):
+    """Canonical row HNF of the lattice spanned by ``rows`` in Z^dim, by
+    Euclid over Z with no modulus: the reference for crystor's
+    hnf_rows, which works modulo the orders' lcm.  Returns the nonzero
+    basis rows by increasing pivot column."""
+    work = [list(r) for r in rows]
+    basis = []
+    for col in range(dim):
+        carrier = None
+        rest = []
+        for r in work:
+            if r[col] == 0:
+                rest.append(r)
+                continue
+            if carrier is None:
+                carrier = r
+                continue
+            while r[col]:
+                q = carrier[col] // r[col]
+                if q:
+                    for t in range(dim):
+                        carrier[t] -= q * r[t]
+                carrier, r = r, carrier
+            rest.append(r)
+        work = rest
+        if carrier is not None:
+            if carrier[col] < 0:
+                carrier = [-x for x in carrier]
+            basis.append(carrier)
+    for idx, row in enumerate(basis):
+        pivot_col = next(c for c in range(dim) if row[c])
+        for above in basis[:idx]:
+            q = above[pivot_col] // row[pivot_col]
+            if q:
+                for t in range(dim):
+                    above[t] -= q * row[t]
+    return basis
+
+
+@pytest.fixture(scope="session")
+def integer_hnf():
+    """The integer Hermite form ``integer_hnf(rows, dim)``, independent
+    of the code under test."""
+    return _integer_hnf_rows

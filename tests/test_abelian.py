@@ -398,21 +398,22 @@ def test_hom_kernel_mixed_orders():
     assert got == elems
 
 
-def reference_kernel_lattice(f):
+def reference_kernel_lattice(f, integer_hnf):
     """The kernel lattice as first computed, kept as the reference for
     the route modulo the target exponent: the integer Smith form of
-    [B | E], E = diag(target orders), projected to the source part."""
+    [B | E], E = diag(target orders), projected to the source part, in
+    the integer Hermite form."""
     k, l = f.source.rank, f.target.rank
     if k == 0:
         return []
     if l == 0:
-        return hnf_rows(diagonal_rows((1,) * k), k)
+        return integer_hnf(diagonal_rows((1,) * k), k)
     rel = diagonal_rows(f.target.invariant_factors)
     stacked = IntMatrix.from_rows(
         [list(f.matrix.row(i)) + rel[i] for i in range(l)])
     snf = smith_normal_form(stacked)
     members = [list(snf.V.column(j)[:k]) for j in range(l, k + l)]
-    return hnf_rows(members + diagonal_rows(f.source.invariant_factors), k)
+    return integer_hnf(members + diagonal_rows(f.source.invariant_factors), k)
 
 
 group_orders = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=3)
@@ -437,8 +438,8 @@ def mixed_order_homs(draw):
 @given(mixed_order_homs())
 @example(GroupHom(FinAbGroup.cyclic(4), FinAbGroup.cyclic(2), IntMatrix.from_rows([[1]])))
 @settings(max_examples=200, deadline=None)
-def test_kernel_lattice_matches_integer_smith_route(f):
-    assert f.kernel_lattice() == reference_kernel_lattice(f)
+def test_kernel_lattice_matches_integer_smith_route(integer_hnf, f):
+    assert f.kernel_lattice() == reference_kernel_lattice(f, integer_hnf)
     ker, _ = f.kernel()
     img, _ = f.image()
     assert ker.order * img.order == f.source.order
@@ -571,9 +572,37 @@ def test_subgroup_bad_modulus():
 
 
 def test_hnf_canonical():
-    a = hnf_rows([[2, 1], [0, 3]], 2)
-    b = hnf_rows([[2, 4], [0, 3]], 2)
-    assert a == b  # same lattice, same canonical basis
+    a = hnf_rows([[2, 1], [0, 3]], (6, 6))
+    b = hnf_rows([[2, 4], [0, 3]], (6, 6))
+    assert a == b == [[2, 1], [0, 3]]  # same lattice, same canonical basis
+
+
+@st.composite
+def subgroup_lattices(draw):
+    """Up to 8 rows with entries in [-50, 50] in Z^d, d <= 7, next to
+    orders that are all equal, mixed, or mostly units."""
+    d = draw(st.integers(0, 7))
+    orders = draw(st.one_of(
+        st.sampled_from([2, 3, 4, 6, 8, 9, 12, 25, 27]).map(lambda e: (e,) * d),
+        st.lists(st.integers(1, 16), min_size=d, max_size=d).map(tuple),
+        st.lists(st.sampled_from([1, 1, 1, 2, 3, 4]), min_size=d, max_size=d)
+        .map(tuple),
+    ))
+    rows = draw(st.lists(st.lists(st.integers(-50, 50), min_size=d, max_size=d),
+                         max_size=8))
+    return rows, orders
+
+
+@given(subgroup_lattices())
+@example(([[1, 1]], (2, 2)))
+@example(([], (4, 1, 6)))
+@settings(max_examples=300, deadline=None)
+def test_hnf_modulo_the_orders_matches_the_integer_form(integer_hnf, case):
+    rows, orders = case
+    d = len(orders)
+    basis = hnf_rows(rows, orders)
+    assert basis == integer_hnf(rows + diagonal_rows(orders), d)
+    assert all(e % row[i] == 0 for i, (row, e) in enumerate(zip(basis, orders)))
 
 
 def test_unimodular_inverse():
@@ -593,7 +622,7 @@ def test_unimodular_inverse():
 def test_subgroup_canonical_equality():
     # <(1,1)> and <(3,3)> coincide inside (Z/4)^2
     def canonical(gens):
-        return hnf_rows([list(g) for g in gens] + diagonal_rows((4, 4)), 2)
+        return hnf_rows(gens, (4, 4))
 
     assert canonical([(1, 1)]) == canonical([(3, 3)])
     assert canonical([(1, 0)]) != canonical([(0, 1)])

@@ -53,7 +53,7 @@ def congruent_rows(rng, t, p, top):
 
 
 def canonical(gens, n, t):
-    return hnf_rows([list(g) for g in gens] + diagonal_rows((n,) * t), t)
+    return hnf_rows(gens, (n,) * t)
 
 
 def sympy_invariant_factors(rows):
