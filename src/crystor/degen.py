@@ -8,9 +8,10 @@ are carried as opaque symbols (symmetric by default, u_ij = u_ji).
 From this the p^m-torsion of the uniformized abelian variety is an
 extension of (Z/p^m)^t (etale, spanned by y_1..y_t) by (Z/p^m)^t(1)
 (multiplicative, spanned by x_1..x_t), whose class matrix has entry
-(i, j) equal to the Kummer class of the (i, j) period.  Splitting each
-entry into unit and valuation parts gives the Raynaud decomposition:
-a prolongable extension plus a monodromy map nu = mu mod p^m.
+(i, j) equal to the Kummer class of the (i, j) period.  The Raynaud
+decomposition takes its two halves from the input directly: the
+prolongable extension of the unit symbols, and the monodromy map
+nu = mu mod p^m.  Their Baer sum gives the torsion class back.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     RouteDisagreement,
     ShapeMismatch,
 )
-from .kummer import ExtClass, KummerClass, raynaud_split
+from .kummer import ExtClass, KummerClass
 
 
 def leading_minors(mu: IntMatrix):
@@ -184,9 +185,13 @@ def monodromy_map(data: DegenerationData, m: int) -> GroupHom:
 def raynaud_decompose(data: DegenerationData, m: int) -> tuple[ExtClass, GroupHom]:
     """(unit-part class eta1, monodromy map nu).
 
-    eta1 prolongs over the ring of integers; nu is the obstruction.
-    The Baer sum of eta1 and the pure-valuation class of nu's matrix is
-    the torsion class, since the val/unit split is entrywise.
+    eta1 has the unit symbol u_ij alone in entry (i, j), so it prolongs
+    over the ring of integers; nu is the obstruction.  The Baer sum of
+    eta1 and the pure-valuation class of nu's matrix is the torsion
+    class, which is built separately (torsion_module).
     """
-    eta1, _ = raynaud_split(torsion_module(data, m))
-    return eta1, monodromy_map(data, m)
+    nu = monodromy_map(data, m)
+    n, t = level_modulus(data.p, m), data.t
+    kappa = tuple(tuple(KummerClass.unit(n, data.symbol(i, j)) for j in range(t))
+                  for i in range(t))
+    return ExtClass(n, t, t, kappa), nu

@@ -10,8 +10,10 @@ an n-th power.  Everything downstream that matters (crystallinity,
 component groups) depends only on the valuation parts.
 
 An ExtClass is the class of an extension of (Z/n)^r (etale) by
-(Z/n)^s (multiplicative), encoded as an s x r matrix of KummerClasses.  The split class is the zero matrix and
-Baer sum is entrywise addition.
+(Z/n)^s (multiplicative), encoded as an s x r matrix of KummerClasses.
+The split class is the zero matrix and Baer sum is entrywise addition.
+raynaud_split takes a class apart into its unit part, which prolongs
+over the ring of integers, and its valuation part.
 """
 
 from __future__ import annotations
@@ -136,14 +138,13 @@ class ExtClass:
         """The kappa value on the etale element with coordinates ``vec``."""
         if len(vec) != self.etale_rank:
             raise ShapeMismatch("coordinate length disagrees with etale rank")
-        out = []
-        for i in range(self.mult_rank):
-            acc = KummerClass(self.n)
-            for j, c in enumerate(vec):
-                if c % self.n:
-                    acc = acc.add(self.kappa[i][j].scale(c))
-            out.append(acc)
-        return tuple(out)
+        terms = [(j, c) for j, c in enumerate(vec) if c % self.n]
+        # one class per entry; its constructor merges the scaled unit pairs
+        return tuple(
+            KummerClass(self.n, sum(c * row[j].val for j, c in terms),
+                        tuple((s, c * e) for j, c in terms for s, e in row[j].units))
+            for row in self.kappa
+        )
 
     def __str__(self):
         rows = "; ".join(

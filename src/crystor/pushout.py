@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 
 from .abelian import (
@@ -84,8 +85,8 @@ class ExtNuObject:
 
 
 def degeneration_object(data: DegenerationData, m: int) -> ExtNuObject:
-    """The canonical object of degeneration data at level p^m: unit part
-    of the torsion class plus monodromy mu mod p^m."""
+    """The canonical object of degeneration data at level p^m: the Raynaud
+    unit part of the torsion class plus the monodromy mu mod p^m."""
     eta1, nu = raynaud_decompose(data, m)
     return ExtNuObject(eta1.n, eta1, nu)
 
@@ -232,10 +233,8 @@ def star_pullback(
         raise BadInput("star pullback expects a free etale part")
     group, gens = kernel_mod_n(obj.nu.matrix, obj.n)
     cols = [obj.eta_ok.column_combination(g) for g in gens]
-    kappa = tuple(
-        tuple(cols[k][i] for k in range(len(gens)))
-        for i in range(obj.mult_rank)
-    )
+    # with no kernel generators there are no columns to transpose
+    kappa = tuple(zip(*cols)) or ((),) * obj.mult_rank
     eta = ExtClass(obj.n, obj.mult_rank, len(gens), kappa)
     sub = ExtNuObject(obj.n, eta, GroupHom.zero(group, obj.mult_group))
     return sub, gens
@@ -288,17 +287,7 @@ class ExtNuMorphism:
 def mp_generator_map(mor: ExtNuMorphism) -> IntMatrix:
     """The morphism on pushout presentations: a and b follow the etale
     map, c follows the multiplicative map."""
-    ra, sa = mor.source.etale_rank, mor.source.mult_rank
-    rb, sb = mor.target.etale_rank, mor.target.mult_rank
-    rows = [[0] * (2 * ra + sa) for _ in range(2 * rb + sb)]
-    for k in range(rb):
-        for j in range(ra):
-            rows[k][j] = mor.etale_map.entry(k, j)
-            rows[rb + k][ra + j] = mor.etale_map.entry(k, j)
-    for l in range(sb):
-        for i in range(sa):
-            rows[2 * rb + l][2 * ra + i] = mor.mult_map.entry(l, i)
-    return IntMatrix.from_rows(rows)
+    return _block_diagonal(mor.etale_map, mor.etale_map, mor.mult_map)
 
 
 def mp_hom(mor: ExtNuMorphism) -> GroupHom:
@@ -337,6 +326,26 @@ def check_mp_exactness(f: ExtNuMorphism, g: ExtNuMorphism) -> bool:
 # direct sums, for building short exact triples
 
 
+def _block_rows(blocks, zero) -> list[tuple]:
+    """Rows of the block-diagonal matrix of ``blocks``, each a pair
+    (rows, column count), with ``zero`` off the blocks.  The column
+    counts keep the width right when a block has no rows."""
+    width = sum(cols for _, cols in blocks)
+    out, left = [], 0
+    for rows, cols in blocks:
+        before, after = (zero,) * left, (zero,) * (width - left - cols)
+        out += [before + tuple(row) + after for row in rows]
+        left += cols
+    return out
+
+
+def _block_diagonal(*mats: IntMatrix) -> IntMatrix:
+    """diag(mats), shaped explicitly so that an empty block still counts."""
+    rows = _block_rows([(m.as_rows(), m.cols) for m in mats], 0)
+    return IntMatrix(sum(m.rows for m in mats), sum(m.cols for m in mats),
+                     tuple(chain.from_iterable(rows)))
+
+
 def _require_free_parts(obj: ExtNuObject) -> None:
     # coordinate blocks only concatenate cleanly when invariant-factor
     # normalization is the identity, i.e. every part is free over Z/n
@@ -351,45 +360,41 @@ def object_direct_sum(a: ExtNuObject, b: ExtNuObject) -> ExtNuObject:
         raise ShapeMismatch("direct sum needs equal levels")
     _require_free_parts(a)
     _require_free_parts(b)
-    n = a.n
-    zero = KummerClass(n, 0, ())
-    kappa = []
-    for i in range(a.mult_rank):
-        kappa.append(tuple(a.eta_ok.kappa[i]) + (zero,) * b.etale_rank)
-    for i in range(b.mult_rank):
-        kappa.append((zero,) * a.etale_rank + tuple(b.eta_ok.kappa[i]))
-    eta = ExtClass(n, a.mult_rank + b.mult_rank, a.etale_rank + b.etale_rank,
+    kappa = _block_rows([(a.eta_ok.kappa, a.etale_rank),
+                         (b.eta_ok.kappa, b.etale_rank)], KummerClass(a.n))
+    eta = ExtClass(a.n, a.mult_rank + b.mult_rank, a.etale_rank + b.etale_rank,
                    tuple(kappa))
-    nu_rows = []
-    for i in range(a.mult_rank):
-        nu_rows.append(list(a.nu.matrix.row(i)) + [0] * b.etale_rank)
-    for i in range(b.mult_rank):
-        nu_rows.append([0] * a.etale_rank + list(b.nu.matrix.row(i)))
-    nu = GroupHom(
-        FinAbGroup.of_orders([n] * (a.etale_rank + b.etale_rank)),
-        FinAbGroup.of_orders([n] * (a.mult_rank + b.mult_rank)),
-        IntMatrix.from_rows(nu_rows),
-    )
-    return ExtNuObject(n, eta, nu)
+    nu = GroupHom(a.etale_group.direct_sum(b.etale_group),
+                  a.mult_group.direct_sum(b.mult_group),
+                  _block_diagonal(a.nu.matrix, b.nu.matrix))
+    return ExtNuObject(a.n, eta, nu)
+
+
+def _unit_blocks(source: ExtNuObject, target: ExtNuObject,
+                 mult_offset: int, etale_offset: int) -> ExtNuMorphism:
+    """The morphism whose part maps have a 1 wherever column = row +
+    the part's offset, and 0 elsewhere."""
+    def block(rows: int, cols: int, offset: int) -> IntMatrix:
+        return IntMatrix(rows, cols, tuple(
+            int(j == i + offset) for i in range(rows) for j in range(cols)))
+
+    return ExtNuMorphism(
+        source, target,
+        block(target.mult_rank, source.mult_rank, mult_offset),
+        block(target.etale_rank, source.etale_rank, etale_offset))
 
 
 def sum_inclusion(a: ExtNuObject, b: ExtNuObject) -> ExtNuMorphism:
     """a -> a (+) b onto the first block."""
-    total = object_direct_sum(a, b)
-    mult_rows = diagonal_rows((1,) * total.mult_rank)
-    etale_rows = diagonal_rows((1,) * total.etale_rank)
-    return ExtNuMorphism(
-        a, total,
-        IntMatrix.from_rows([row[:a.mult_rank] for row in mult_rows]),
-        IntMatrix.from_rows([row[:a.etale_rank] for row in etale_rows]),
-    )
+    return _unit_blocks(a, object_direct_sum(a, b), 0, 0)
 
 
 def sum_projection(a: ExtNuObject, b: ExtNuObject) -> ExtNuMorphism:
     """a (+) b -> b off the first block."""
-    total = object_direct_sum(a, b)
-    mult_rows = diagonal_rows((1,) * total.mult_rank)
-    etale_rows = diagonal_rows((1,) * total.etale_rank)
-    return ExtNuMorphism(total, b,
-                         IntMatrix.from_rows(mult_rows[a.mult_rank:]),
-                         IntMatrix.from_rows(etale_rows[a.etale_rank:]))
+    return _unit_blocks(object_direct_sum(a, b), b, a.mult_rank, a.etale_rank)
+
+
+def sum_first_projection(a: ExtNuObject, b: ExtNuObject) -> ExtNuMorphism:
+    """a (+) b -> a onto the first block.  After sum_inclusion it is the
+    identity, so for nonzero a the two make no short exact triple."""
+    return _unit_blocks(object_direct_sum(a, b), a, 0, 0)

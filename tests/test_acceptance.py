@@ -12,7 +12,6 @@ import time
 import pytest
 
 from crystor.abelian import IntMatrix, kernel_mod_n, n_torsion, p_primary_part
-from crystor.cli import _keep_first_block
 from crystor.crys import (
     component_group,
     crys1_torsion,
@@ -38,6 +37,7 @@ from crystor.pushout import (
     middle_term_group,
     mp_presentation,
     mp_pushout,
+    sum_first_projection,
     sum_inclusion,
     sum_projection,
 )
@@ -173,7 +173,7 @@ def test_criterion_6_pushout_exactness(capsys, matrix_corpus):
         # projecting back onto the first block makes the composite the
         # identity, so the middle kernel cannot match the image
         if not check_mp_exactness(sum_inclusion(obj, obj),
-                                  _keep_first_block(obj)):
+                                  sum_first_projection(obj, obj)):
             broken_count += 1
         else:
             ok = False

@@ -562,6 +562,27 @@ def test_no_kummer_objects_on_the_crys1_path(monkeypatch):
     assert objects == [] and modules == []
 
 
+def test_verify_builds_each_class_once(monkeypatch):
+    # each level builds its unit-symbol class and the pullback's columns
+    # one Kummer object per entry, never a torsion class to split
+    from crystor.cli import _verify_checks
+    from crystor.kummer import KummerClass
+    from test_graphs import complete_graph_data
+
+    built = []
+    real = KummerClass.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(KummerClass, "__post_init__", counted)
+    data = complete_graph_data(9, 3)
+    max_m = 2
+    assert all(ok for _, ok, _ in _verify_checks(data, max_m, 0))
+    assert len(built) <= 2 * max_m * data.t ** 2
+
+
 def test_smith_form_fault_fails_the_level_checks():
     # wrong cached invariant factors of mu = [[5]] (D = [25]) must be
     # caught by every check that sets them against the kernel of mu mod p^m

@@ -227,7 +227,10 @@ def test_recombination_identity(data):
     t = data.draw(st.integers(1, 3))
     p = data.draw(st.sampled_from([2, 3, 5]))
     m = data.draw(st.integers(1, 6))
-    d = data_of(p, data.draw(spd_matrices(t)))
+    # a grid with w{i}{j} != w{j}{i} tells the two symbols of a pair apart
+    units = data.draw(st.sampled_from([
+        None, tuple(tuple(f"w{i}{j}" for j in range(t)) for i in range(t))]))
+    d = data_of(p, data.draw(spd_matrices(t)), units)
     eta1, nu = raynaud_decompose(d, m)
     recombined = baer_sum(eta1, ExtClass.from_val_matrix(eta1.n, nu.matrix))
     assert recombined == torsion_module(d, m)

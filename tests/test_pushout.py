@@ -20,7 +20,11 @@ from crystor.pushout import (
     mp_hom,
     mp_presentation,
     mp_pushout,
+    object_direct_sum,
     star_pullback,
+    sum_first_projection,
+    sum_inclusion,
+    sum_projection,
 )
 
 
@@ -33,7 +37,8 @@ def free_obj(n, s, r, nu_rows, unit_positions=()):
     eta = ExtClass(n, s, r, tuple(tuple(row) for row in rows))
     free_r = FinAbGroup.of_orders([n] * r)
     free_s = FinAbGroup.of_orders([n] * s)
-    nu = GroupHom(free_r, free_s, IntMatrix.from_rows(nu_rows))
+    nu = GroupHom(free_r, free_s,
+                  IntMatrix(s, r, tuple(x for row in nu_rows for x in row)))
     return ExtNuObject(n, eta, nu)
 
 
@@ -552,6 +557,27 @@ def test_block_diagonal_degeneration_triple_is_exact():
     g = ExtNuMorphism(b, c, IntMatrix.from_rows([[0, 1]]),
                       IntMatrix.from_rows([[0, 1]]))
     assert check_mp_exactness(f, g) is True
+
+
+@pytest.mark.parametrize("a_ranks, b_ranks", [
+    ((1, 1), (2, 0)), ((2, 0), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 1)),
+    ((0, 2), (0, 2)), ((2, 0), (2, 0))])
+def test_direct_sum_with_an_empty_part(a_ranks, b_ranks):
+    # a part of rank 0 still counts the other part's columns in every
+    # block matrix of the sum, its inclusion and its projections
+    def obj(s, r):
+        units = [(i, j, f"u{i}{j}") for i in range(s) for j in range(r)]
+        return free_obj(4, s, r, [[2] * r for _ in range(s)], units)
+
+    a, b = obj(*a_ranks), obj(*b_ranks)
+    total = object_direct_sum(a, b)
+    assert (total.mult_rank, total.etale_rank) == (
+        a.mult_rank + b.mult_rank, a.etale_rank + b.etale_rank)
+    inclusion = sum_inclusion(a, b)
+    first = sum_first_projection(a, b)
+    assert first.compose(inclusion) == ExtNuMorphism.identity(a)
+    assert check_mp_exactness(inclusion, sum_projection(a, b)) is True
+    assert check_mp_exactness(inclusion, first) is False
 
 
 def test_non_exact_chain_detected():
