@@ -4,6 +4,8 @@ degenerate semistable abelian varieties over a p-adic field, starting
 from a symmetric positive-definite monodromy-pairing matrix with
 symbolic unit parts."""
 
+from importlib import import_module
+
 from .abelian import (
     FinAbGroup,
     GroupHom,
@@ -37,22 +39,29 @@ from .degen import (
     raynaud_decompose,
     torsion_module,
 )
-from .kummer import (
-    ExtClass,
-    KummerClass,
-    baer_neg,
-    baer_sum,
-    is_one_crystalline,
-    raynaud_split,
-)
-from .pushout import (
-    ExtNuMorphism,
-    ExtNuObject,
-    check_mp_exactness,
-    degeneration_object,
-    mp_pushout,
-    star_pullback,
-)
+
+# the extension-class and pushout layers serve ``verify`` alone, so their
+# names and modules load on first use (PEP 562), not with the package
+_HOMES = {
+    **dict.fromkeys(("ExtClass", "KummerClass", "baer_neg", "baer_sum",
+                     "is_one_crystalline", "raynaud_split"), "kummer"),
+    **dict.fromkeys(("ExtNuMorphism", "ExtNuObject", "check_mp_exactness",
+                     "degeneration_object", "mp_pushout", "star_pullback"),
+                    "pushout"),
+}
+_SUBMODULES = ("kummer", "pushout", "verify")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOMES:
+        value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Crys1Report",

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from typing import TYPE_CHECKING
 
 from .abelian import (
     FinAbGroup,
@@ -39,7 +40,9 @@ from .errors import (
     RouteDisagreement,
     ShapeMismatch,
 )
-from .kummer import ExtClass, KummerClass
+
+if TYPE_CHECKING:
+    from .kummer import ExtClass
 
 
 def leading_minors(mu: IntMatrix):
@@ -161,6 +164,8 @@ def torsion_module(data: DegenerationData, m: int) -> ExtClass:
     """The p^m-torsion as an extension class on the adapted basis
     x_1..x_t (multiplicative), y_1..y_t (etale): kappa[i][j] has
     valuation mu[i][j] mod p^m and unit symbol u_ij."""
+    from .kummer import ExtClass, KummerClass
+
     data.validate()
     n = level_modulus(data.p, m)
     t = data.t
@@ -190,6 +195,8 @@ def raynaud_decompose(data: DegenerationData, m: int) -> tuple[ExtClass, GroupHo
     eta1 and the pure-valuation class of nu's matrix is the torsion
     class, which is built separately (torsion_module).
     """
+    from .kummer import ExtClass, KummerClass
+
     nu = monodromy_map(data, m)
     n, t = level_modulus(data.p, m), data.t
     kappa = tuple(tuple(KummerClass.unit(n, data.symbol(i, j)) for j in range(t))

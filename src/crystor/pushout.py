@@ -177,7 +177,6 @@ def middle_term_group(obj: ExtNuObject) -> FinAbGroup:
     return obj.mult_group.direct_sum(obj.etale_group)
 
 
-@lru_cache(maxsize=8)
 def mp_presentation(obj: ExtNuObject) -> PresentedModule:
     """Explicit presentation of the pushout's middle term.
 
@@ -186,16 +185,24 @@ def mp_presentation(obj: ExtNuObject) -> PresentedModule:
     rank-2 building block tensored with the j-th etale generator, and
     c_i for the multiplicative part.  Relations: each generator is
     killed by its part's order, and a_j is glued to nu of the j-th
-    etale generator.
-
-    A few recent presentations are kept by value, so equal objects (say
-    the a (+) a that an inclusion and a projection each build) share one
-    Smith form.
+    etale generator.  So the presentation reads nu alone.
     """
-    r = obj.etale_rank
-    e = obj.etale_group.invariant_factors
-    o = obj.mult_group.invariant_factors
-    glue = [[int(k == j) for k in range(2 * r)] + [-x for x in obj.nu.matrix.column(j)]
+    return _nu_presentation(obj.nu)
+
+
+@lru_cache(maxsize=8)
+def _nu_presentation(nu: GroupHom) -> PresentedModule:
+    """The presentation of every object with monodromy map nu.
+
+    A few recent presentations are kept by value of nu, so equal objects
+    (say the a (+) a that an inclusion and a projection each build)
+    share one Smith form, and a lookup hashes nu but never the object's
+    grid of Kummer classes.
+    """
+    r = nu.source.rank
+    e = nu.source.invariant_factors
+    o = nu.target.invariant_factors
+    glue = [[int(k == j) for k in range(2 * r)] + [-x for x in nu.matrix.column(j)]
             for j in range(r)]
     return PresentedModule(e + e + o, glue)
 

@@ -382,7 +382,7 @@ sys.exit("sympy was imported" if "sympy" in sys.modules else code)
 """
 
 
-@pytest.mark.parametrize("argv", [
+EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", [
     ["component-group", "corpus/t3_dense_p5.txt", "--p-part"],
     ["torsion", "corpus/t3_dense_p5.txt", "--m", "2"],
     ["crys1", "corpus/t3_dense_p5.txt", "--m", "2", "--oracle"],
@@ -392,11 +392,50 @@ sys.exit("sympy was imported" if "sympy" in sys.modules else code)
     ["tate", "--v", "5", "--p", "5", "--m", "2"],
     ["verify", "corpus/t3_dense_p5.txt", "--max-m", "1"],
 ], ids=lambda argv: argv[0])
+
+
+@EVERY_SUBCOMMAND
 def test_no_subcommand_imports_sympy(argv):
     """The prime check is stdlib code: no command loads sympy."""
     proc = subprocess.run([sys.executable, "-c", NO_SYMPY, *argv], cwd=ROOT,
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
+
+
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import crystor.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = crystor.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("crystor."))]))
+"""
+
+# what ``import crystor`` loads: the layers every subcommand runs
+CORE_MODULES = ["crystor.abelian", "crystor.crys", "crystor.degen", "crystor.errors"]
+
+
+@EVERY_SUBCOMMAND
+def test_each_subcommand_loads_only_what_it_runs(argv):
+    """The extension-class and pushout layers and the invariant suite
+    load for ``verify`` alone."""
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv, "--json"],
+                          cwd=ROOT, capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    expected = CORE_MODULES + ["crystor.cli"]
+    if argv[0] == "verify":
+        expected += ["crystor.kummer", "crystor.pushout", "crystor.verify"]
+    assert code == 0
+    assert modules == sorted(expected)
+
+
+def test_package_import_loads_the_core_alone():
+    script = ("import sys, crystor\n"
+              "print(sorted(m for m in sys.modules if m.startswith('crystor.')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{CORE_MODULES}\n"
 
 
 def test_unknown_subcommand_exit_one(capsys):
@@ -417,16 +456,18 @@ def test_verify_passes_on_tate_file(capsys):
 @pytest.mark.parametrize("level", ["0", "-2"])
 def test_verify_rejects_level_below_one_before_any_check(
         capsys, monkeypatch, level):
-    import crystor.cli
+    import crystor.verify
 
     def refuse(name):
         def stub(*args, **kwargs):
             raise AssertionError(f"{name} ran before --max-m was checked")
         return stub
 
-    for name in ("r1crys1_tors", "les_report", "crys1_tate_module",
-                 "degeneration_object"):
-        monkeypatch.setattr(crystor.cli, name, refuse(name))
+    for name in ("les_report", "crys1_tate_module", "degeneration_object"):
+        monkeypatch.setattr(crystor.verify, name, refuse(name))
+    # the suite holds no r1crys1_tors; the stub stands in for one added
+    monkeypatch.setattr(crystor.verify, "r1crys1_tors", refuse("r1crys1_tors"),
+                        raising=False)
     code, out, err = run_main(
         capsys, ["verify", str(CORPUS / "t3_dense_p5.txt"), "--max-m", level])
     assert code == 1
@@ -437,21 +478,22 @@ def test_verify_rejects_level_below_one_before_any_check(
 def test_verify_reads_the_level_tower_from_one_les_report(monkeypatch):
     # "r1 stabilization" and "long exact sequence" share one report, and
     # r1crys1_tors, which would raise on a disagreement, is not called
-    import crystor.cli
-    from crystor.cli import _verify_checks
+    import crystor.verify
+    from crystor.verify import _verify_checks
 
     def refuse(*args, **kwargs):
         raise AssertionError("verify called r1crys1_tors")
 
-    real = crystor.cli.les_report
+    real = crystor.verify.les_report
     reports = []
 
     def recording(*args, **kwargs):
         reports.append(real(*args, **kwargs))
         return reports[-1]
 
-    monkeypatch.setattr(crystor.cli, "les_report", recording)
-    monkeypatch.setattr(crystor.cli, "r1crys1_tors", refuse)
+    monkeypatch.setattr(crystor.verify, "les_report", recording)
+    # the suite holds no r1crys1_tors; the stub stands in for one added
+    monkeypatch.setattr(crystor.verify, "r1crys1_tors", refuse, raising=False)
     data = parse_input((CORPUS / "t3_chain_p2.txt").read_text())
     checks = _verify_checks(data, 2, 0)
     assert len(reports) == 1
@@ -464,9 +506,9 @@ def test_verify_builds_each_presentation_once(capsys, monkeypatch):
     # object, already presented) and obj ⊕ obj; each is presented once,
     # however many maps are transported through it and however many
     # equal copies are built
-    from crystor.pushout import PresentedModule, mp_presentation
+    from crystor.pushout import PresentedModule, _nu_presentation
 
-    mp_presentation.cache_clear()
+    _nu_presentation.cache_clear()
     built = []
     post_init = PresentedModule.__post_init__
 

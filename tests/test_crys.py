@@ -565,7 +565,7 @@ def test_no_kummer_objects_on_the_crys1_path(monkeypatch):
 def test_verify_builds_each_class_once(monkeypatch):
     # each level builds its unit-symbol class and the pullback's columns
     # one Kummer object per entry, never a torsion class to split
-    from crystor.cli import _verify_checks
+    from crystor.verify import _verify_checks
     from crystor.kummer import KummerClass
     from test_graphs import complete_graph_data
 
@@ -586,7 +586,7 @@ def test_verify_builds_each_class_once(monkeypatch):
 def test_smith_form_fault_fails_the_level_checks():
     # wrong cached invariant factors of mu = [[5]] (D = [25]) must be
     # caught by every check that sets them against the kernel of mu mod p^m
-    from crystor.cli import _verify_checks
+    from crystor.verify import _verify_checks
 
     data = data_of(5, [[5]])
     object.__setattr__(data, "invariants", (25,))
@@ -606,7 +606,7 @@ def test_local_smith_fault_fails_the_level_checks():
     # must be caught wherever the crys1 route meets the invariant factors
     from dataclasses import replace
 
-    from crystor.cli import _verify_checks
+    from crystor.verify import _verify_checks
 
     data = data_of(5, [[5]])
     good = data.local
@@ -658,7 +658,7 @@ def test_wrong_invariant_factor_fails_the_stable_torsion_checks():
     # the last invariant factor times p: the invariant factors then read
     # a 3-primary part Z/27 while the local Smith form still reads Z/9,
     # and every stable-torsion comparison must see it
-    from crystor.cli import _verify_checks
+    from crystor.verify import _verify_checks
 
     data = data_of(3, [[9, -3, 0], [-3, 10, -1], [0, -1, 5]])
     assert data.invariants == (1, 1, 396)
@@ -715,7 +715,7 @@ def test_local_valuation_at_the_top_level_fails_the_tate_check(p, rows):
     # does not divide, among the top level's y-generators
     from dataclasses import replace
 
-    from crystor.cli import _verify_checks
+    from crystor.verify import _verify_checks
 
     data = data_of(p, rows)
     rep = crys1_tate_module(data)

@@ -13,6 +13,7 @@ from crystor.pushout import (
     ExtNuMorphism,
     ExtNuObject,
     PresentedModule,
+    _nu_presentation,
     check_mp_exactness,
     degeneration_object,
     middle_term_group,
@@ -134,20 +135,18 @@ def test_presented_matches_integer_smith_form(presentation, data):
 
 def faulty_smith_normal_form(monkeypatch, fault):
     """Route the presentations' Smith forms through ``fault(real, m,
-    modulus)``, with a fresh presentation cache for the patched run, in
-    the pushout layer and in verify, so that no faulty presentation
-    outlives the test and no sound one is read from the cache."""
+    modulus)``, with a fresh presentation cache for the patched run, so
+    that no faulty presentation outlives the test and no sound one is
+    read from the cache."""
     from functools import lru_cache
 
-    import crystor.cli
     import crystor.pushout
 
     real = crystor.pushout.smith_normal_form
     monkeypatch.setattr(crystor.pushout, "smith_normal_form",
                         lambda m, modulus=None: fault(real, m, modulus))
-    fresh = lru_cache(maxsize=8)(mp_presentation.__wrapped__)
-    monkeypatch.setattr(crystor.pushout, "mp_presentation", fresh)
-    monkeypatch.setattr(crystor.cli, "mp_presentation", fresh)
+    fresh = lru_cache(maxsize=8)(_nu_presentation.__wrapped__)
+    monkeypatch.setattr(crystor.pushout, "_nu_presentation", fresh)
 
 
 def failed_verify_details(name, max_m):
@@ -267,28 +266,25 @@ def test_wrong_x_basis_fails_the_star_pullback(monkeypatch, name, p, max_m):
 
 def faulty_glue_rows(monkeypatch, fault, every_object=False):
     """Present every object with zero monodromy, or every object at
-    all, with ``fault(rows, r)`` in place of its r glue rows, in the
-    pushout layer and in verify.  In verify the objects with zero
-    monodromy are the pulled-back ones (and a level object where mu
-    mod p^m is 0); the level objects and the pushout checks' objects
-    carry mu mod p^m."""
+    all, with ``fault(rows, r)`` in place of its r glue rows.  In verify
+    the objects with zero monodromy are the pulled-back ones (and a
+    level object where mu mod p^m is 0); the level objects and the
+    pushout checks' objects carry mu mod p^m."""
     from functools import lru_cache
 
-    import crystor.cli
     import crystor.pushout
 
-    real = mp_presentation.__wrapped__
+    real = _nu_presentation.__wrapped__
 
     @lru_cache(maxsize=8)
-    def present(obj):
-        good = real(obj)
-        if any(obj.nu.matrix.entries) and not every_object:
+    def present(nu):
+        good = real(nu)
+        if any(nu.matrix.entries) and not every_object:
             return good
-        rows = fault([list(row) for row in good.relations], obj.etale_rank)
+        rows = fault([list(row) for row in good.relations], nu.source.rank)
         return PresentedModule(good.orders, rows)
 
-    monkeypatch.setattr(crystor.pushout, "mp_presentation", present)
-    monkeypatch.setattr(crystor.cli, "mp_presentation", present)
+    monkeypatch.setattr(crystor.pushout, "_nu_presentation", present)
 
 
 def drop_last_glue_row(rows, r):
