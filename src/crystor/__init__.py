@@ -11,7 +11,6 @@ from .abelian import (
     GroupHom,
     IntMatrix,
     SnfResult,
-    cokernel,
     enumerate_subgroups,
     is_exact,
     kernel_mod_n,
@@ -79,7 +78,6 @@ __all__ = [
     "baer_neg",
     "baer_sum",
     "check_mp_exactness",
-    "cokernel",
     "component_group",
     "crys1_tate_module",
     "crys1_torsion",

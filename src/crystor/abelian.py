@@ -8,21 +8,20 @@ U, V and V^-1 from one pass (over Z or Z/n), its diagonal alone by
 elimination modulo the determinant, the Smith form over the local ring
 Z/p^k, and the row-style Hermite normal form of a subgroup lattice,
 computed modulo the exponent of its orders; on top of them sit kernels,
-cokernels, torsion and primary parts, exactness tests, an enumerator of
+torsion and primary parts, exactness tests, an enumerator of
 the subgroups of (Z/p)^t as row-reduced subspaces, and the primality
 test that `require_prime` applies to p.
 
->>> snf = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]))
->>> snf.D.as_rows()
+>>> mu = IntMatrix.from_rows([[2, 1], [1, 2]])
+>>> smith_normal_form(mu).D.as_rows()
 ((1, 0), (0, 3))
->>> str(cokernel(IntMatrix.from_rows([[2, 1], [1, 2]])))
+>>> str(FinAbGroup.of_orders(invariant_factors_mod_det(mu, mu.det())))
 'Z/3'
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import gcd, isqrt, lcm, prod
@@ -34,8 +33,8 @@ from .errors import (
     BudgetExceeded,
     NotPrime,
     ShapeMismatch,
-    SingularMatrix,
 )
+from .record import Record, set_field
 
 DEFAULT_ENUM_BUDGET = 1 << 16
 ENUM_BUDGET_ENV = "CRYSTOR_ENUM_BUDGET"
@@ -64,13 +63,16 @@ def enum_budget() -> int:
 # matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """A rows x cols matrix of arbitrary-precision integers, row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -80,6 +82,17 @@ class IntMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
+
+    # hashed and compared inside every GroupHom comparison: reading the
+    # fields directly, not through the base's attrgetter, is faster
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.rows, self.cols, self.entries)
+                    == (other.rows, other.cols, other.entries))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -171,15 +184,17 @@ def diagonal_rows(entries) -> list[list[int]]:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(Record):
     """U * M * V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)
     (modulo n for a Smith form over Z/n), and Vinv = V^-1."""
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    Vinv: IntMatrix
+    __slots__ = _fields = ("U", "D", "V", "Vinv")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, Vinv: IntMatrix):
+        set_field(self, "U", U)
+        set_field(self, "D", D)
+        set_field(self, "V", V)
+        set_field(self, "Vinv", Vinv)
 
     def diagonal(self) -> tuple[int, ...]:
         k = min(self.D.rows, self.D.cols)
@@ -415,8 +430,7 @@ def _kernel_read_off(n: int, orders, column) -> tuple[FinAbGroup, tuple[tuple[in
     return FinAbGroup(tuple(kept)), tuple(gens)
 
 
-@dataclass(frozen=True)
-class LocalSmith:
+class LocalSmith(Record):
     """Smith form of a square integer matrix M over Z/p^k.
 
     U M V = diag(p^{v_1}, ..., p^{v_t}) modulo p^k with U and V
@@ -425,10 +439,14 @@ class LocalSmith:
     V modulo p^k.
     """
 
-    p: int
-    k: int
-    valuations: tuple[int, ...]
-    columns: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("p", "k", "valuations", "columns")
+
+    def __init__(self, p: int, k: int, valuations: tuple[int, ...],
+                 columns: tuple[tuple[int, ...], ...]):
+        set_field(self, "p", p)
+        set_field(self, "k", k)
+        set_field(self, "valuations", valuations)
+        set_field(self, "columns", columns)
 
     def kernel(self, m: int) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
         """Kernel of M on (Z/p^m)^t with aligned generators, as
@@ -622,8 +640,7 @@ def _chain_normalize(orders) -> tuple[int, ...]:
     return tuple(ds)
 
 
-@dataclass(frozen=True, slots=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """A finite abelian group by its invariant factors d_1 | d_2 | ... | d_k.
 
     The factors are each >= 2 and the trivial group is the empty tuple,
@@ -639,7 +656,11 @@ class FinAbGroup:
     1
     """
 
-    invariant_factors: tuple[int, ...] = ()
+    __slots__ = _fields = ("invariant_factors",)
+
+    def __init__(self, invariant_factors: tuple[int, ...] = ()):
+        set_field(self, "invariant_factors", invariant_factors)
+        self.__post_init__()
 
     def __post_init__(self):
         for i, d in enumerate(self.invariant_factors):
@@ -647,6 +668,16 @@ class FinAbGroup:
                 raise ShapeMismatch("invariant factors must be >= 2")
             if i and d % self.invariant_factors[i - 1]:
                 raise ShapeMismatch("invariant factors must form a divisibility chain")
+
+    # the most compared record: reading the field directly, not through
+    # the base's attrgetter, halves the cost of a call
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.invariant_factors == other.invariant_factors
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.invariant_factors)
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":
@@ -812,22 +843,7 @@ def _jacobi(a: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# kernels and cokernels
-
-
-def cokernel(m: IntMatrix) -> FinAbGroup:
-    """Z^t / (column span of m) for square nonsingular m, read off the
-    invariant factors by elimination modulo |det m|.
-
-    >>> str(cokernel(IntMatrix.from_rows([[5]])))
-    'Z/5'
-    """
-    if m.rows != m.cols:
-        raise ShapeMismatch("cokernel needs a square matrix")
-    det = abs(m.det())
-    if det == 0:
-        raise SingularMatrix("matrix has determinant 0, so the cokernel is infinite")
-    return FinAbGroup.of_orders(invariant_factors_mod_det(m, det))
+# kernels
 
 
 def kernel_mod_n(m: IntMatrix, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
@@ -855,8 +871,7 @@ def kernel_mod_n(m: IntMatrix, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...
 # homomorphisms between finite abelian groups
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Record):
     """A homomorphism given on generator coordinates.
 
     ``matrix`` has one column per source invariant factor and one row per
@@ -865,9 +880,13 @@ class GroupHom:
     modulo the target orders.
     """
 
-    source: FinAbGroup
-    target: FinAbGroup
-    matrix: IntMatrix
+    __slots__ = _fields = ("source", "target", "matrix")
+
+    def __init__(self, source: FinAbGroup, target: FinAbGroup, matrix: IntMatrix):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "matrix", matrix)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.matrix.rows != self.target.rank or self.matrix.cols != self.source.rank:
@@ -881,9 +900,7 @@ class GroupHom:
             for i in range(self.matrix.rows)
             for j in range(self.matrix.cols)
         )
-        object.__setattr__(
-            self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced)
-        )
+        set_field(self, "matrix", IntMatrix(self.matrix.rows, self.matrix.cols, reduced))
         # a generator of order s must land on a point killed by s
         sinv = self.source.invariant_factors
         for j, s in enumerate(sinv):
@@ -892,6 +909,17 @@ class GroupHom:
                     raise ShapeMismatch(
                         f"entry ({i},{j}) does not respect generator orders"
                     )
+
+    # the key of the presentation cache and of every monodromy-square
+    # check: reading the fields directly is faster than the base's
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.target, self.matrix)
+                    == (other.source, other.target, other.matrix))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.matrix))
 
     @classmethod
     def zero(cls, source: FinAbGroup, target: FinAbGroup) -> "GroupHom":

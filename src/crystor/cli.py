@@ -20,12 +20,18 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+
+# CPython's built-in SHA-256 where it has its own module (3.10, 3.11),
+# as the random module takes its SHA-512: hashlib would load OpenSSL
+# first, about 6 ms of CPU on every start, for the same digest
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .abelian import FinAbGroup, IntMatrix, p_primary_part
 from .crys import (
@@ -40,6 +46,7 @@ from .crys import (
 )
 from .degen import DegenerationData, level_modulus
 from .errors import ArtifactError, BadInput, ParseError
+from .record import Record, set_field
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -253,7 +260,7 @@ def _load(path: str) -> tuple[DegenerationData, str]:
         raw = Path(path).read_bytes()
     except OSError as e:
         raise BadInput(f"cannot read {path}: {e.strerror or e}") from None
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -269,15 +276,18 @@ def _load(path: str) -> tuple[DegenerationData, str]:
 # reports
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     """One command's result: echo, input digest, payload, and the human
     rendering (excluded from equality so machine round-trips compare)."""
 
-    command: str
-    digest: str
-    payload: dict
-    human: str = field(compare=False)
+    __slots__ = _fields = ("command", "digest", "payload", "human")
+    _uncompared = ("human",)
+
+    def __init__(self, command: str, digest: str, payload: dict, human: str):
+        set_field(self, "command", command)
+        set_field(self, "digest", digest)
+        set_field(self, "payload", payload)
+        set_field(self, "human", human)
 
     def machine(self) -> str:
         doc = {
@@ -481,7 +491,7 @@ def _cmd_les(args) -> tuple[Report, int]:
 def _cmd_tate(args) -> tuple[Report, int]:
     rep = tate_closed_form(args.v, args.p, args.m)
     seed_text = f"v={args.v} p={args.p} m={args.m}"
-    digest = hashlib.sha256(seed_text.encode()).hexdigest()
+    digest = sha256(seed_text.encode()).hexdigest()
     payload = {"v": args.v, "p": args.p, "m": args.m,
                "description": rep.describe()}
     payload.update(_crys1_payload(rep))

@@ -39,7 +39,6 @@ failed check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -58,10 +57,10 @@ from .abelian import (
 )
 from .degen import DegenerationData, level_modulus
 from .errors import BadInput, NotStabilized, RouteDisagreement
+from .record import Record, set_field
 
 
-@dataclass(frozen=True, slots=True)
-class Crys1Report:
+class Crys1Report(Record):
     """Generators and structure of the maximal 1-crystalline submodule.
 
     ``generators`` are coordinate vectors of length 2t (x-part then
@@ -72,12 +71,18 @@ class Crys1Report:
     across inputs and across the two routes.
     """
 
-    n: int
-    t: int
-    generators: tuple[tuple[int, ...], ...]
-    generator_orders: tuple[int, ...]
-    group: FinAbGroup
-    is_full: bool
+    __slots__ = _fields = ("n", "t", "generators", "generator_orders", "group",
+                           "is_full")
+
+    def __init__(self, n: int, t: int, generators: tuple[tuple[int, ...], ...],
+                 generator_orders: tuple[int, ...], group: FinAbGroup,
+                 is_full: bool):
+        set_field(self, "n", n)
+        set_field(self, "t", t)
+        set_field(self, "generators", generators)
+        set_field(self, "generator_orders", generator_orders)
+        set_field(self, "group", group)
+        set_field(self, "is_full", is_full)
 
     @property
     def ambient_order(self) -> int:
@@ -303,15 +308,18 @@ def r1crys1_tors(data: DegenerationData, cap: int = 12) -> FinAbGroup:
 # Tate module
 
 
-@dataclass(frozen=True, slots=True)
-class TateReport:
+class TateReport(Record):
     """Free part of the maximal 1-crystalline submodule of the Tate
     module, plus the top-level evidence that its y-parts die."""
 
-    rank: int
-    weight: int
-    levels_checked: int
-    y_part_vanishes: bool
+    __slots__ = _fields = ("rank", "weight", "levels_checked", "y_part_vanishes")
+
+    def __init__(self, rank: int, weight: int, levels_checked: int,
+                 y_part_vanishes: bool):
+        set_field(self, "rank", rank)
+        set_field(self, "weight", weight)
+        set_field(self, "levels_checked", levels_checked)
+        set_field(self, "y_part_vanishes", y_part_vanishes)
 
 
 def crys1_tate_module(data: DegenerationData) -> TateReport:
@@ -336,8 +344,7 @@ def crys1_tate_module(data: DegenerationData) -> TateReport:
 # the long exact sequence at finite level
 
 
-@dataclass(frozen=True, slots=True)
-class LevelExactness:
+class LevelExactness(Record):
     """Exactness evidence for 0 -> (Z/p^m)^t -> Crys1 -> Phi[p^m] -> 0.
 
     The first map is injective and the composite zero by construction
@@ -345,9 +352,12 @@ class LevelExactness:
     so only the two comparisons with Phi[p^m] are recorded.
     """
 
-    m: int
-    orders_match: bool
-    surjective: bool
+    __slots__ = _fields = ("m", "orders_match", "surjective")
+
+    def __init__(self, m: int, orders_match: bool, surjective: bool):
+        set_field(self, "m", m)
+        set_field(self, "orders_match", orders_match)
+        set_field(self, "surjective", surjective)
 
     def ok(self) -> bool:
         return self.orders_match and self.surjective
@@ -358,22 +368,29 @@ class LevelExactness:
 _level_exactness = lru_cache(maxsize=256)(LevelExactness)
 
 
-@dataclass(frozen=True, slots=True)
-class LesReport:
+class LesReport(Record):
     """Finite-level truncation of the long exact sequence of the
     maximal-submodule functor on the Tate module.  les_report hands out
     one instance per recent value, so equal reports of different inputs
     are the same object."""
 
-    cap: int
-    stabilized_at: int
-    tate_rank: int
-    rational_rank: int
-    divisible_rank: int
-    colimit_torsion: FinAbGroup
-    r1_torsion: FinAbGroup
-    levels: tuple[LevelExactness, ...]
-    exact: bool
+    __slots__ = _fields = ("cap", "stabilized_at", "tate_rank", "rational_rank",
+                           "divisible_rank", "colimit_torsion", "r1_torsion",
+                           "levels", "exact")
+
+    def __init__(self, cap: int, stabilized_at: int, tate_rank: int,
+                 rational_rank: int, divisible_rank: int,
+                 colimit_torsion: FinAbGroup, r1_torsion: FinAbGroup,
+                 levels: tuple[LevelExactness, ...], exact: bool):
+        set_field(self, "cap", cap)
+        set_field(self, "stabilized_at", stabilized_at)
+        set_field(self, "tate_rank", tate_rank)
+        set_field(self, "rational_rank", rational_rank)
+        set_field(self, "divisible_rank", divisible_rank)
+        set_field(self, "colimit_torsion", colimit_torsion)
+        set_field(self, "r1_torsion", r1_torsion)
+        set_field(self, "levels", levels)
+        set_field(self, "exact", exact)
 
 
 # equal reports recur across inputs with the same p-primary structure

@@ -16,10 +16,8 @@ nu = mu mod p^m.  Their Baer sum gives the torsion class back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import TYPE_CHECKING
 
 from .abelian import (
     FinAbGroup,
@@ -40,9 +38,7 @@ from .errors import (
     RouteDisagreement,
     ShapeMismatch,
 )
-
-if TYPE_CHECKING:
-    from .kummer import ExtClass
+from .record import Record, set_field
 
 
 def leading_minors(mu: IntMatrix):
@@ -71,8 +67,7 @@ def leading_minors(mu: IntMatrix):
         prev = minor
 
 
-@dataclass(frozen=True)
-class DegenerationData:
+class DegenerationData(Record):
     """Construction never validates; call validate() before computing.
 
     The instance validates once: a passing validate() is remembered,
@@ -87,12 +82,17 @@ class DegenerationData:
       the maximal 1-crystalline submodule is read.
 
     No cache takes part in equality or hashing, which see the fields
-    only.
+    only.  The caches live in the instance ``__dict__``, so this record
+    has no ``__slots__``.
     """
 
-    p: int
-    mu: IntMatrix
-    unit_symbols: tuple[tuple[str, ...], ...] | None = None
+    _fields = ("p", "mu", "unit_symbols")
+
+    def __init__(self, p: int, mu: IntMatrix,
+                 unit_symbols: tuple[tuple[str, ...], ...] | None = None):
+        set_field(self, "p", p)
+        set_field(self, "mu", mu)
+        set_field(self, "unit_symbols", unit_symbols)
 
     @property
     def t(self) -> int:

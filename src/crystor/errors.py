@@ -33,10 +33,6 @@ class ShapeMismatch(ArtifactError):
     """Operands have incompatible dimensions, moduli or ranks."""
 
 
-class SingularMatrix(ArtifactError):
-    """A square matrix required to have nonzero determinant does not."""
-
-
 class BadModulus(ArtifactError):
     """A modulus that must be >= 2, or prime, is not."""
 

@@ -18,24 +18,26 @@ over the ring of integers, and its valuation part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abelian import IntMatrix
 from .errors import ShapeMismatch
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class KummerClass:
+class KummerClass(Record):
     """val . (uniformizer) + sum of unit symbols, all mod n."""
 
-    n: int
-    val: int = 0
-    units: tuple[tuple[str, int], ...] = ()
+    __slots__ = _fields = ("n", "val", "units")
+
+    def __init__(self, n: int, val: int = 0, units: tuple[tuple[str, int], ...] = ()):
+        set_field(self, "n", n)
+        set_field(self, "val", val)
+        set_field(self, "units", units)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 2:
             raise ShapeMismatch("Kummer classes need modulus >= 2")
-        object.__setattr__(self, "val", self.val % self.n)
+        set_field(self, "val", self.val % self.n)
         clean = {}
         for sym, e in self.units:
             e = (clean.get(sym, 0) + e) % self.n
@@ -43,7 +45,17 @@ class KummerClass:
                 clean[sym] = e
             else:
                 clean.pop(sym, None)
-        object.__setattr__(self, "units", tuple(sorted(clean.items())))
+        set_field(self, "units", tuple(sorted(clean.items())))
+
+    # verify compares thousands of these in class grids: reading the
+    # fields directly, not through the base's attrgetter, is faster
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.val, self.units) == (other.n, other.val, other.units)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.val, self.units))
 
     @classmethod
     def unit(cls, n: int, symbol: str, exp: int = 1) -> "KummerClass":
@@ -84,18 +96,22 @@ class KummerClass:
         return " * ".join(terms) if terms else "1"
 
 
-@dataclass(frozen=True)
-class ExtClass:
+class ExtClass(Record):
     """Class of an extension of (Z/n)^etale_rank by (Z/n)^mult_rank.
 
     kappa[i][j] is the Kummer class glueing multiplicative generator i to
     etale generator j; the split extension is the all-zero matrix.
     """
 
-    n: int
-    mult_rank: int
-    etale_rank: int
-    kappa: tuple[tuple[KummerClass, ...], ...]
+    __slots__ = _fields = ("n", "mult_rank", "etale_rank", "kappa")
+
+    def __init__(self, n: int, mult_rank: int, etale_rank: int,
+                 kappa: tuple[tuple[KummerClass, ...], ...]):
+        set_field(self, "n", n)
+        set_field(self, "mult_rank", mult_rank)
+        set_field(self, "etale_rank", etale_rank)
+        set_field(self, "kappa", kappa)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.kappa) != self.mult_rank:

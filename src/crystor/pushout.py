@@ -17,7 +17,6 @@ must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
@@ -34,10 +33,10 @@ from .abelian import (
 from .degen import DegenerationData, raynaud_decompose
 from .errors import BadInput, NotAMorphism, RouteDisagreement, ShapeMismatch
 from .kummer import ExtClass, KummerClass, is_one_crystalline
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class ExtNuObject:
+class ExtNuObject(Record):
     """(prolongable class, monodromy map).
 
     The group structure of the two parts rides on ``nu``: its source is
@@ -45,9 +44,13 @@ class ExtNuObject:
     must divide the level n.
     """
 
-    n: int
-    eta_ok: ExtClass
-    nu: GroupHom
+    __slots__ = _fields = ("n", "eta_ok", "nu")
+
+    def __init__(self, n: int, eta_ok: ExtClass, nu: GroupHom):
+        set_field(self, "n", n)
+        set_field(self, "eta_ok", eta_ok)
+        set_field(self, "nu", nu)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.eta_ok.n != self.n:
@@ -95,8 +98,7 @@ def degeneration_object(data: DegenerationData, m: int) -> ExtNuObject:
 # presented modules
 
 
-@dataclass(frozen=True)
-class PresentedModule:
+class PresentedModule(Record):
     """Finitely presented finite abelian group: generator j has order
     ``orders[j]``, and each row of ``relations`` is one more relation.
 
@@ -109,16 +111,20 @@ class PresentedModule:
     nonzero entries.  So homomorphisms given on generators are
     transported to GroupHoms between the derived groups at a cost that
     grows with those entries.
+
+    Only ``orders`` and ``relations`` are fields; ``group``, ``_coords``
+    (the kept V columns by generator: entry i holds (k, V[i][j]), j kept
+    k-th) and ``_lifts`` are derived from them.
     """
 
-    orders: tuple[int, ...]
-    relations: tuple[tuple[int, ...], ...] = ()
-    group: FinAbGroup = field(init=False, compare=False, repr=False)
-    # the kept V columns by generator: entry i holds (k, V[i][j]), j kept k-th
-    _coords: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, compare=False, repr=False)
-    _lifts: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, compare=False, repr=False)
+    _fields = ("orders", "relations")
+    __slots__ = _fields + ("group", "_coords", "_lifts")
+
+    def __init__(self, orders: tuple[int, ...],
+                 relations: tuple[tuple[int, ...], ...] = ()):
+        set_field(self, "orders", orders)
+        set_field(self, "relations", relations)
+        self.__post_init__()
 
     def __post_init__(self):
         if any(o < 1 for o in self.orders):
@@ -129,10 +135,10 @@ class PresentedModule:
         snf = smith_normal_form(IntMatrix.from_rows(rows), modulus=n)
         factors = [gcd(d, n) for d in snf.diagonal()]
         kept = [j for j, d in enumerate(factors) if d > 1]
-        object.__setattr__(self, "group", FinAbGroup.of_orders(factors))
-        object.__setattr__(self, "_coords", tuple(
+        set_field(self, "group", FinAbGroup.of_orders(factors))
+        set_field(self, "_coords", tuple(
             _nonzero(snf.V.entry(i, j) for j in kept) for i in range(snf.V.rows)))
-        object.__setattr__(self, "_lifts", tuple(_nonzero(snf.Vinv.row(j)) for j in kept))
+        set_field(self, "_lifts", tuple(_nonzero(snf.Vinv.row(j)) for j in kept))
 
     def coords(self, vec) -> tuple[int, ...]:
         """Invariant-factor coordinates of an integer generator combination."""
@@ -251,16 +257,21 @@ def star_pullback(
 # morphisms and exactness
 
 
-@dataclass(frozen=True)
-class ExtNuMorphism:
-    """Pair of part maps; the monodromy square is checked eagerly."""
+class ExtNuMorphism(Record):
+    """Pair of part maps; the monodromy square is checked eagerly.  The
+    part maps as GroupHoms, ``mult_hom`` and ``etale_hom``, are derived
+    from the fields."""
 
-    source: ExtNuObject
-    target: ExtNuObject
-    mult_map: IntMatrix
-    etale_map: IntMatrix
-    mult_hom: GroupHom = field(init=False, compare=False, repr=False)
-    etale_hom: GroupHom = field(init=False, compare=False, repr=False)
+    _fields = ("source", "target", "mult_map", "etale_map")
+    __slots__ = _fields + ("mult_hom", "etale_hom")
+
+    def __init__(self, source: ExtNuObject, target: ExtNuObject,
+                 mult_map: IntMatrix, etale_map: IntMatrix):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
+        set_field(self, "mult_map", mult_map)
+        set_field(self, "etale_map", etale_map)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.source.n != self.target.n:
@@ -269,8 +280,8 @@ class ExtNuMorphism:
                             self.mult_map)
         etale_hom = GroupHom(self.source.etale_group, self.target.etale_group,
                              self.etale_map)
-        object.__setattr__(self, "mult_hom", mult_hom)
-        object.__setattr__(self, "etale_hom", etale_hom)
+        set_field(self, "mult_hom", mult_hom)
+        set_field(self, "etale_hom", etale_hom)
         if self.target.nu.compose(etale_hom) != mult_hom.compose(self.source.nu):
             raise NotAMorphism("monodromy square does not commute")
 

@@ -402,31 +402,36 @@ def test_no_subcommand_imports_sympy(argv):
     assert proc.returncode == 0, proc.stderr
 
 
-LOADED_MODULES = """
+ADDED_MODULES = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 import crystor.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = crystor.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("crystor."))]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 # what ``import crystor`` loads: the layers every subcommand runs
-CORE_MODULES = ["crystor.abelian", "crystor.crys", "crystor.degen", "crystor.errors"]
+CORE_MODULES = ["crystor.abelian", "crystor.crys", "crystor.degen", "crystor.errors",
+                "crystor.record"]
 
 
 @EVERY_SUBCOMMAND
 def test_each_subcommand_loads_only_what_it_runs(argv):
     """The extension-class and pushout layers and the invariant suite
-    load for ``verify`` alone."""
-    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv, "--json"],
+    load for ``verify`` alone, and crystor's records come from its own
+    base class: no run loads dataclasses, the inspect it pulls in, or
+    typing."""
+    proc = subprocess.run([sys.executable, "-c", ADDED_MODULES, *argv, "--json"],
                           cwd=ROOT, capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout)
+    code, added = json.loads(proc.stdout)
     expected = CORE_MODULES + ["crystor.cli"]
     if argv[0] == "verify":
         expected += ["crystor.kummer", "crystor.pushout", "crystor.verify"]
     assert code == 0
-    assert modules == sorted(expected)
+    assert [m for m in added if m.startswith("crystor.")] == sorted(expected)
+    assert not {"dataclasses", "inspect", "typing"} & set(added)
 
 
 def test_package_import_loads_the_core_alone():

@@ -377,8 +377,6 @@ def test_toric_quotient_matches_the_hnf_route(integer_hnf, case):
 def test_y_generator_fault_fails_the_level_checks(monkeypatch, fault, p, rows, m):
     # a crys1 report that loses a y-generator, or keeps only p times one,
     # spans too small a quotient, and both level checks must see it
-    from dataclasses import replace
-
     import crystor.crys
 
     real = crystor.crys.crys1_torsion
@@ -389,7 +387,7 @@ def test_y_generator_fault_fails_the_level_checks(monkeypatch, fault, p, rows, m
         *kept, last = rep.generators[t:]
         if fault == "times_p":
             kept.append(tuple(p * x % rep.n for x in last))
-        return replace(rep, generators=rep.generators[:t] + tuple(kept))
+        return rep.replace(generators=rep.generators[:t] + tuple(kept))
 
     data = data_of(p, rows)
     assert phi_formula_check(data, m)[1] and les_report(data).exact
@@ -604,15 +602,13 @@ def test_smith_form_fault_fails_the_level_checks():
 def test_local_smith_fault_fails_the_level_checks():
     # a local Smith form of mu = [[5]] with every valuation one too high
     # must be caught wherever the crys1 route meets the invariant factors
-    from dataclasses import replace
-
     from crystor.verify import _verify_checks
 
     data = data_of(5, [[5]])
     good = data.local
     assert good.valuations == (1,)
     object.__setattr__(data, "local",
-                       replace(good, valuations=tuple(v + 1 for v in good.valuations)))
+                       good.replace(valuations=tuple(v + 1 for v in good.valuations)))
     assert phi_formula_check(data, 2)[1] is False
     assert les_report(data).exact is False
     failed = [name for name, ok, _ in _verify_checks(data, 3, 0) if not ok]
@@ -713,8 +709,6 @@ def test_tate_module_builds_one_level(monkeypatch):
 def test_local_valuation_at_the_top_level_fails_the_tate_check(p, rows):
     # a local valuation of m_top or more leaves a column of V, which p
     # does not divide, among the top level's y-generators
-    from dataclasses import replace
-
     from crystor.verify import _verify_checks
 
     data = data_of(p, rows)
@@ -723,8 +717,8 @@ def test_local_valuation_at_the_top_level_fails_the_tate_check(p, rows):
     assert "tate module coherence" not in [
         name for name, ok, _ in _verify_checks(data, 1, 0) if not ok]
     good = data.local
-    object.__setattr__(data, "local", replace(
-        good, valuations=good.valuations[:-1] + (rep.levels_checked,)))
+    object.__setattr__(data, "local", good.replace(
+        valuations=good.valuations[:-1] + (rep.levels_checked,)))
     assert crys1_tate_module(data).y_part_vanishes is False
     failed = [name for name, ok, _ in _verify_checks(data, 1, 0) if not ok]
     assert "tate module coherence" in failed

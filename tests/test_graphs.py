@@ -45,9 +45,13 @@ def test_complete_graph_pairing_of_k4():
 # (n, a prime dividing n, a prime not dividing n)
 COMPLETE_GRAPHS = [(4, 2, 3), (5, 5, 2), (6, 3, 5), (7, 7, 2), (8, 2, 3),
                    (9, 3, 2), (10, 5, 3)]
+# (n, a prime dividing n): t = 45 to 120, p-parts of rank 9 to 15
+LARGE_COMPLETE_GRAPHS = [(11, 11), (12, 3), (13, 13), (14, 7), (15, 5), (16, 2),
+                         (17, 17)]
 
 
-@pytest.mark.parametrize("n, p", [(n, p) for n, *ps in COMPLETE_GRAPHS for p in ps])
+@pytest.mark.parametrize("n, p", [(n, p) for n, *ps in COMPLETE_GRAPHS for p in ps]
+                         + LARGE_COMPLETE_GRAPHS)
 def test_complete_graph_closed_forms(n, p):
     data = complete_graph_data(n, p)
     assert data.t == (n - 1) * (n - 2) // 2

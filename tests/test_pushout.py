@@ -181,13 +181,11 @@ def test_presentation_inverse_off_by_one_fails_a_check(monkeypatch):
     # one V^-1 entry off by one moves a basis element's lift, and with it
     # the transported maps: check_mp_exactness sees the routes disagree,
     # and verify reports its functoriality check as failed
-    from dataclasses import replace
-
     def bump_vinv(real, m, modulus):
         snf = real(m, modulus)
         entries = list(snf.Vinv.entries)
         entries[-1] += 1
-        return replace(snf, Vinv=IntMatrix(snf.Vinv.rows, snf.Vinv.cols, tuple(entries)))
+        return snf.replace(Vinv=IntMatrix(snf.Vinv.rows, snf.Vinv.cols, tuple(entries)))
 
     faulty_smith_normal_form(monkeypatch, bump_vinv)
     a = free_obj(4, 1, 1, [[0]])
