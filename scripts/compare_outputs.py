@@ -17,11 +17,15 @@ seeded inputs at each large key (p, m, t) of the oracle-enum benchmark
 workload, ``crys1 --oracle`` with mu = 2I on (Z/2)^16,
 ``component-group``, ``crys1 --m 2`` and ``verify --max-m 2`` on the
 cycle pairings of the complete graphs K_5, K_6 and K_9 at p = 5, 2 and
-3 (all written to a temporary directory), 18 tate cases,
+3, ``component-group`` on malformed inputs: every parse-error text of
+``tests/parse_errors.json``, a non-prime p, an asymmetric mu, a mu that
+is not positive definite, a ragged units grid and a file that is not
+UTF-8 (all written to a temporary directory), 18 tate cases,
 ``tate --v 5 --m 1`` at five values of p that reach both branches of
 the prime test (strong pseudoprimes included), three levels whose
 modulus has more than 4,300 digits and a set of error cases, each with
-and without ``--json``.
+and without ``--json``.  So every error message and its position is
+compared too.
 
 Prints every run whose stdout, stderr or exit code differ, then the
 number of differing runs per subcommand and the number of runs, and
@@ -128,8 +132,33 @@ def write_complete_graph_inputs(directory: Path) -> list[str]:
             for n, p in COMPLETE_GRAPHS]
 
 
-def argument_lists(sweep_paths, oracle_inputs, budget_path,
-                   graph_paths) -> list[tuple[list[str], dict]]:
+# rejected inputs beyond the parse-error texts: by validation, by the
+# units grid's shape, and before parsing, by UTF-8 decoding
+MALFORMED_INPUTS = {
+    "nonprime_p": b"p = 4\nt = 1\nmu = [[5]]\n",
+    "asymmetric_mu": b"p = 3\nt = 2\nmu = [[2, 1], [0, 2]]\n",
+    "indefinite_mu": b"p = 3\nt = 2\nmu = [[1, 2], [2, 1]]\n",
+    "ragged_units": b"p = 3\nt = 2\nmu = [[2, 1], [1, 2]]\nunits = [[a, b], [c]]\n",
+    "not_utf8": b"p = 3\nt = 1\nmu = [[\xff]]\n",
+}
+
+
+def write_malformed_inputs(directory: Path) -> list[str]:
+    """The parse-error texts that tests/test_cli.py checks, then
+    MALFORMED_INPUTS, one file each."""
+    cases = json.loads((ROOT / "tests" / "parse_errors.json").read_text())
+    blobs = {f"parse_error_{k}": text.encode() for k, (text, *_) in enumerate(cases)}
+    blobs.update(MALFORMED_INPUTS)
+    paths = []
+    for name, blob in blobs.items():
+        path = directory / f"{name}.txt"
+        path.write_bytes(blob)
+        paths.append(str(path))
+    return paths
+
+
+def argument_lists(sweep_paths, oracle_inputs, budget_path, graph_paths,
+                   malformed_paths) -> list[tuple[list[str], dict]]:
     """(argv, environment overrides) for every run, without --json."""
     runs = []
     for path in sorted((ROOT / "corpus").glob("*.txt")):
@@ -155,6 +184,7 @@ def argument_lists(sweep_paths, oracle_inputs, budget_path,
     for f in graph_paths:
         runs += [(["component-group", f], {}), (["crys1", f, "--m", "2"], {}),
                  (["verify", f, "--max-m", "2"], {})]
+    runs += [(["component-group", f], {}) for f in malformed_paths]
     for v, p, m in TATE_CASES:
         runs.append((["tate", "--v", str(v), "--p", str(p), "--m", str(m)], {}))
     for p in PRIME_TEST_CASES:
@@ -241,7 +271,8 @@ def main() -> int:
                 for argv, env in argument_lists(write_sweep_inputs(Path(tmp)),
                                                 write_oracle_inputs(Path(tmp)),
                                                 write_budget_input(Path(tmp)),
-                                                write_complete_graph_inputs(Path(tmp)))
+                                                write_complete_graph_inputs(Path(tmp)),
+                                                write_malformed_inputs(Path(tmp)))
                 for extra in ([], ["--json"])]
         mine, theirs = run_tree(ROOT, runs), run_tree(other, runs)
     differ = Counter()

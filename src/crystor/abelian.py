@@ -3,8 +3,8 @@
 Everything in this module is exact: matrices hold arbitrary-precision
 Python integers and finite abelian groups are kept in invariant-factor
 form d_1 | d_2 | ... | d_k with every d_i >= 2 (the trivial group is the
-empty list).  The workhorses are Smith normal form with its transforms
-U, V and V^-1 from one pass (over Z or Z/n), its diagonal alone by
+empty list).  The workhorses are the Smith normal form over Z/n with its
+transforms U, V and V^-1 from one pass, the invariant factors alone by
 elimination modulo the determinant, the Smith form over the local ring
 Z/p^k, and the row-style Hermite normal form of a subgroup lattice,
 computed modulo the exponent of its orders; on top of them sit kernels,
@@ -13,8 +13,8 @@ the subgroups of (Z/p)^t as row-reduced subspaces, and the primality
 test that `require_prime` applies to p.
 
 >>> mu = IntMatrix.from_rows([[2, 1], [1, 2]])
->>> smith_normal_form(mu).D.as_rows()
-((1, 0), (0, 3))
+>>> smith_normal_form(mu, 9).orders(9)
+(1, 3)
 >>> str(FinAbGroup.of_orders(invariant_factors_mod_det(mu, mu.det())))
 'Z/3'
 """
@@ -185,8 +185,8 @@ def diagonal_rows(entries) -> list[list[int]]:
 
 
 class SnfResult(Record):
-    """U * M * V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)
-    (modulo n for a Smith form over Z/n), and Vinv = V^-1."""
+    """A Smith form over Z/n: U * M * V = D modulo n with U and V
+    invertible modulo n, D diagonal, and Vinv = V^-1 modulo n."""
 
     __slots__ = _fields = ("U", "D", "V", "Vinv")
 
@@ -196,45 +196,43 @@ class SnfResult(Record):
         set_field(self, "V", V)
         set_field(self, "Vinv", Vinv)
 
-    def diagonal(self) -> tuple[int, ...]:
+    def orders(self, n: int) -> tuple[int, ...]:
+        """The cyclic orders of coker D over Z/n, one per column:
+        gcd(d_j, n) on the diagonal and n past it, a divisibility chain."""
         k = min(self.D.rows, self.D.cols)
-        return tuple(self.D.entry(i, i) for i in range(k))
+        return (tuple(gcd(self.D.entry(j, j), n) for j in range(k))
+                + (n,) * (self.D.cols - k))
 
 
-def smith_normal_form(m: IntMatrix, modulus: int | None = None) -> SnfResult:
-    """Smith normal form with transforms.
+def smith_normal_form(m: IntMatrix, modulus: int) -> SnfResult:
+    """Smith normal form over Z/n, n = ``modulus`` >= 1, with transforms.
 
-    Pivoting rule: at each stage the pivot is the nonzero entry of the
-    working submatrix with smallest absolute value, ties broken by
-    row-major position, so the scan stops at a unit.  The output is
-    therefore deterministic.  V^-1 takes a row step for each column step
-    on V: col_dst += q * col_src becomes row_src -= q * row_dst.
-
-    With a ``modulus`` n every entry, of the transforms too, is kept
-    reduced into [0, n): the result is a Smith form over Z/n, with
+    Every entry, of the transforms too, is kept reduced into [0, n): so
     U * M * V = D and V * V^-1 = I modulo n, and no entry outgrows n.
+    Pivoting rule: at each stage the pivot is the least nonzero entry of
+    the working submatrix, ties broken by row-major position, so the
+    scan stops at 1 and the output is deterministic.  V^-1 takes a row
+    step for each column step on V: col_dst += q * col_src becomes
+    row_src -= q * row_dst.
 
-    >>> r = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 4]]))
-    >>> r.diagonal()
-    (2, 4)
-    >>> r = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]))
-    >>> r.diagonal(), r.V.mul(r.Vinv) == IntMatrix.identity(2)
+    >>> r = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]), 9)
+    >>> r.orders(9), r.V.mul(r.Vinv).mod(9) == IntMatrix.identity(2)
     ((1, 3), True)
+    >>> smith_normal_form(IntMatrix.from_rows([[2, 4, 6]]), 4).orders(4)
+    (2, 4, 4)
     """
+    if modulus < 1:
+        raise BadModulus(f"Smith form over Z/n needs n >= 1, not {modulus}")
     if m.rows == 0 or m.cols == 0:
         raise ShapeMismatch("Smith normal form of an empty matrix")
     nr, nc = m.rows, m.cols
-    a = [list(m.row(i)) for i in range(nr)]
+    a = [[x % modulus for x in m.row(i)] for i in range(nr)]
     u = diagonal_rows((1,) * nr)
     v = diagonal_rows((1,) * nc)  # v[j] is column j of V
     vinv = diagonal_rows((1,) * nc)
-    if modulus:
-        a = [[x % modulus for x in row] for row in a]
 
-    def combine(x, y, q):  # x + q * y, reduced when there is a modulus
-        if modulus:
-            return [(s + q * t) % modulus for s, t in zip(x, y)]
-        return [s + q * t for s, t in zip(x, y)]
+    def combine(x, y, q):  # x + q * y modulo n
+        return [(s + q * t) % modulus for s, t in zip(x, y)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -251,13 +249,13 @@ def smith_normal_form(m: IntMatrix, modulus: int | None = None) -> SnfResult:
         u[dst] = combine(u[dst], u[src], q)
 
     for k in range(min(nr, nc)):
-        # pick pivot: smallest |entry| != 0, row-major ties
+        # pick pivot: least entry != 0, row-major ties
         piv = None
         best = None
         for i in range(k, nr):
             for j, x in enumerate(a[i][k:], k):
-                if x and (best is None or abs(x) < best):
-                    piv, best = (i, j), abs(x)
+                if x and (best is None or x < best):
+                    piv, best = (i, j), x
             if best == 1:
                 break
         if piv is None:
@@ -267,9 +265,6 @@ def smith_normal_form(m: IntMatrix, modulus: int | None = None) -> SnfResult:
         if piv[1] != k:
             swap_cols(k, piv[1])
         while True:
-            if a[k][k] < 0:
-                a[k] = [-x for x in a[k]]
-                u[k] = [-x for x in u[k]]
             d = a[k][k]
             # clear column k below the pivot
             dirty = False
@@ -285,7 +280,8 @@ def smith_normal_form(m: IntMatrix, modulus: int | None = None) -> SnfResult:
             if dirty:
                 continue
             # clear row k right of the pivot; column k is now zero off the
-            # pivot, so a column step changes a only in row k
+            # pivot, so a column step changes a only in row k, where the
+            # remainder stays in [0, d)
             for j in range(k + 1, nc):
                 if a[k][j]:
                     q = a[k][j] // d
@@ -593,7 +589,7 @@ def lattice_solve(basis, vec):
     return coords
 
 
-def quotient_orders(sup_basis, orders) -> list[int]:
+def quotient_orders(sup_basis, orders) -> tuple[int, ...]:
     """Cyclic orders presenting (lattice of sup_basis) / (⊕ e_i Z), the
     e_i being ``orders``, by a Smith form over Z/n, n = lcm(e_i).
 
@@ -601,10 +597,10 @@ def quotient_orders(sup_basis, orders) -> list[int]:
     every e_i times the i-th unit vector.
 
     >>> quotient_orders(hnf_rows([[2, 1]], (6, 6)), (6, 6))
-    [1, 6]
+    (1, 6)
     """
     if not orders:
-        return []
+        return ()
     n, dim = lcm(*orders), len(orders)
     coords = []
     for i, e in enumerate(orders):
@@ -612,8 +608,7 @@ def quotient_orders(sup_basis, orders) -> list[int]:
         if c is None:
             raise ShapeMismatch("sublattice is not contained in the overlattice")
         coords.append(c)
-    snf = smith_normal_form(IntMatrix.from_rows(coords), modulus=n)
-    return [gcd(d, n) for d in snf.diagonal()]
+    return smith_normal_form(IntMatrix.from_rows(coords), n).orders(n)
 
 
 # ---------------------------------------------------------------------------
@@ -860,11 +855,8 @@ def kernel_mod_n(m: IntMatrix, n: int) -> tuple[FinAbGroup, tuple[tuple[int, ...
     """
     if n < 2:
         raise BadModulus("kernel mod n needs n >= 2")
-    snf = smith_normal_form(m, modulus=n)
-    diag = list(snf.diagonal())
-    diag += [0] * (m.cols - len(diag))
-    # gcd(0, n) == n covers rank-deficient columns
-    return _kernel_read_off(n, [gcd(d, n) for d in diag], snf.V.column)
+    snf = smith_normal_form(m, n)
+    return _kernel_read_off(n, snf.orders(n), snf.V.column)
 
 
 # ---------------------------------------------------------------------------

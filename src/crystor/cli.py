@@ -50,6 +50,8 @@ from .record import Record, set_field
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+_TOKEN_RE = re.compile(
+    rf"\s*(?:([][,])|({_INT_RE.pattern})|({_IDENT_RE.pattern})|(\S))")
 _KEYS = ("p", "t", "mu", "units")
 
 
@@ -62,122 +64,87 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0]
 
 
-class _Cursor:
-    """Character walker over comment-stripped lines, for matrix values.
-
-    Newlines count as whitespace, which is what lets a matrix continue
-    onto following lines until its brackets balance.
-    """
-
-    def __init__(self, lines: list[str], i: int, j: int):
-        self.lines = lines
-        self.i = i
-        self.j = j
-
-    def _skip_space(self) -> bool:
-        while self.i < len(self.lines):
-            line = self.lines[self.i]
-            while self.j < len(line) and line[self.j].isspace():
-                self.j += 1
-            if self.j < len(line):
-                return True
-            self.i += 1
-            self.j = 0
-        return False
-
-    def next_token(self, open_pos: tuple[int, int]) -> tuple[str, str, tuple[int, int]]:
-        if not self._skip_space():
-            raise ParseError("unclosed '[' in matrix", open_pos[0], open_pos[1])
-        line = self.lines[self.i]
-        c = line[self.j]
-        pos = (self.i + 1, self.j + 1)
-        if c in "[],":
-            self.j += 1
-            return c, c, pos
-        m = _INT_RE.match(line, self.j)
-        if m:
-            self.j = m.end()
-            return "int", m.group(), pos
-        m = _IDENT_RE.match(line, self.j)
-        if m:
-            self.j = m.end()
-            return "name", m.group(), pos
-        raise ParseError(f"unexpected character {c!r}", pos[0], pos[1])
+def _tokens(lines: list[str], i: int, j: int):
+    """(kind, text, 1-based (line, col)) per token of the comment-stripped
+    lines from 0-based (i, j) on; a bracket or comma is its own kind.
+    Newlines count as whitespace, so a matrix continues onto following
+    lines until its brackets balance.  Any other character raises."""
+    for i in range(i, len(lines)):
+        for tok in _TOKEN_RE.finditer(lines[i], j):
+            group = tok.lastindex  # 1 bracket or comma, 2 int, 3 name, 4 other
+            text = tok[group]
+            pos = (i + 1, tok.start(group) + 1)
+            if group == 4:
+                raise ParseError(f"unexpected character {text!r}", *pos)
+            yield (text, "int", "name")[group - 1], text, pos
+        j = 0
 
 
 def _parse_matrix(lines: list[str], i: int, j: int, kind: str, key: str):
-    """Parse a bracketed matrix starting at 0-based (i, j); returns the
-    row lists and the line index where parsing should resume."""
-    cur = _Cursor(lines, i, j)
-    _, _, open_pos = cur.next_token((i + 1, j + 1))
+    """Parse a bracketed matrix of ``kind`` ("int" or "name") entries
+    starting at 0-based (i, j); returns the row lists and the line index
+    where parsing should resume."""
+    tokens = _tokens(lines, i, j)
+
+    def take(open_pos: tuple[int, int]) -> tuple[str, str, tuple[int, int]]:
+        token = next(tokens, None)
+        if token is None:
+            raise ParseError("unclosed '[' in matrix", *open_pos)
+        return token
+
+    what, convert = ("an integer", int) if kind == "int" else ("a symbol name", str)
+    _, _, open_pos = take((i + 1, j + 1))
     rows: list[list] = []
     row_positions: list[tuple[int, int]] = []
-    typ, text, pos = cur.next_token(open_pos)
+    typ, text, pos = take(open_pos)
     if typ == "]":
-        raise ParseError(f"{key} needs at least one row", pos[0], pos[1])
+        raise ParseError(f"{key} needs at least one row", *pos)
     while True:
         if typ != "[":
             raise ParseError(
-                f"expected '[' to start a row of {key}, found {text!r}",
-                pos[0], pos[1],
-            )
+                f"expected '[' to start a row of {key}, found {text!r}", *pos)
         row_open = pos
         row: list = []
-        typ, text, pos = cur.next_token(row_open)
+        typ, text, pos = take(row_open)
         if typ == "]":
-            raise ParseError(f"a row of {key} needs at least one entry",
-                             pos[0], pos[1])
+            raise ParseError(f"a row of {key} needs at least one entry", *pos)
         while True:
-            if kind == "int":
-                if typ != "int":
-                    raise ParseError(
-                        f"expected an integer in {key}, found {text!r}",
-                        pos[0], pos[1],
-                    )
-                row.append(int(text))
-            else:
-                if typ != "name":
-                    raise ParseError(
-                        f"expected a symbol name in {key}, found {text!r}",
-                        pos[0], pos[1],
-                    )
-                row.append(text)
-            typ, text, pos = cur.next_token(row_open)
+            if typ != kind:
+                raise ParseError(
+                    f"expected {what} in {key}, found {text!r}", *pos)
+            row.append(convert(text))
+            typ, text, pos = take(row_open)
             if typ == ",":
-                typ, text, pos = cur.next_token(row_open)
+                typ, text, pos = take(row_open)
                 continue
             if typ == "]":
                 break
             raise ParseError(
-                f"expected ',' or ']' in a row of {key}, found {text!r}",
-                pos[0], pos[1],
-            )
+                f"expected ',' or ']' in a row of {key}, found {text!r}", *pos)
         rows.append(row)
         row_positions.append(row_open)
-        typ, text, pos = cur.next_token(open_pos)
+        typ, text, pos = take(open_pos)
         if typ == ",":
-            typ, text, pos = cur.next_token(open_pos)
+            typ, text, pos = take(open_pos)
             continue
         if typ == "]":
             break
         raise ParseError(
-            f"expected ',' or ']' after a row of {key}, found {text!r}",
-            pos[0], pos[1],
-        )
+            f"expected ',' or ']' after a row of {key}, found {text!r}", *pos)
     width = len(rows[0])
     for k, row in enumerate(rows):
         if len(row) != width:
             raise ParseError(
                 f"row {k + 1} of {key} has {len(row)} entries, expected {width}",
-                row_positions[k][0], row_positions[k][1],
+                *row_positions[k],
             )
-    line = cur.lines[cur.i] if cur.i < len(cur.lines) else ""
-    rest = line[cur.j:]
+    # the rest of the closing bracket's line
+    line, col = pos
+    rest = lines[line - 1][col:]
     if rest.strip():
         pad = len(rest) - len(rest.lstrip())
-        raise ParseError(f"unexpected text after {key}",
-                         cur.i + 1, cur.j + pad + 1)
-    return rows, cur.i + 1
+        raise ParseError(f"unexpected text after {key}", line, col + pad + 1)
+    return rows, line
 
 
 def parse_input(text: str) -> DegenerationData:
@@ -278,10 +245,9 @@ def _load(path: str) -> tuple[DegenerationData, str]:
 
 class Report(Record):
     """One command's result: echo, input digest, payload, and the human
-    rendering (excluded from equality so machine round-trips compare)."""
+    rendering."""
 
     __slots__ = _fields = ("command", "digest", "payload", "human")
-    _uncompared = ("human",)
 
     def __init__(self, command: str, digest: str, payload: dict, human: str):
         set_field(self, "command", command)
@@ -296,17 +262,6 @@ class Report(Record):
             "result": self.payload,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_machine(cls, text: str) -> "Report":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad machine report: {e}") from None
-        for key in ("command", "input_sha256", "result"):
-            if key not in doc:
-                raise ParseError(f"machine report is missing {key!r}")
-        return cls(doc["command"], doc["input_sha256"], doc["result"], "")
 
 
 def _group_doc(g: FinAbGroup) -> dict:

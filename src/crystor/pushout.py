@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
 from .abelian import (
     FinAbGroup,
@@ -132,8 +132,8 @@ class PresentedModule(Record):
         n = lcm(*self.orders)
         # the relations go first: their unit entries make the first pivots
         rows = [*self.relations, *diagonal_rows(self.orders)]
-        snf = smith_normal_form(IntMatrix.from_rows(rows), modulus=n)
-        factors = [gcd(d, n) for d in snf.diagonal()]
+        snf = smith_normal_form(IntMatrix.from_rows(rows), n)
+        factors = snf.orders(n)
         kept = [j for j, d in enumerate(factors) if d > 1]
         set_field(self, "group", FinAbGroup.of_orders(factors))
         set_field(self, "_coords", tuple(

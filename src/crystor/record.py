@@ -6,8 +6,8 @@ writes them in an explicit ``__init__`` with ``set_field``, then calls
 one.  The base gives what ``@dataclass(frozen=True)`` would, without
 generating code when a class is defined:
 
-- equality between records of the same class only, on the fields not
-  named in ``_uncompared``, and a hash of the same fields;
+- equality between records of the same class only, on ``_fields``,
+  and a hash of the same fields;
 - the repr ``Name(field=value, ...)`` over ``_fields``;
 - no ordering;
 - plain assignment and deletion raise AttributeError, while
@@ -42,11 +42,10 @@ class Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _uncompared: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._key = attrgetter(*(f for f in cls._fields if f not in cls._uncompared))
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

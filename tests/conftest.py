@@ -1,6 +1,7 @@
 """Shared fixtures: the randomized matrix corpus used by the
-acceptance criteria, and a closure walk over subgroups that needs no
-enumerator.
+acceptance criteria, a closure walk over subgroups that needs no
+enumerator, and independent references for Hermite forms and
+invariant factors.
 
 The corpus is seeded (override with CRYSTOR_TEST_SEED) and built once
 per session.  Strict diagonal dominance with positive diagonal keeps
@@ -138,3 +139,18 @@ def integer_hnf():
     """The integer Hermite form ``integer_hnf(rows, dim)``, independent
     of the code under test."""
     return _integer_hnf_rows
+
+
+def _sympy_invariant_factors(rows) -> tuple[int, ...]:
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    return tuple(int(d) for d in invariant_factors(Matrix(rows), domain=ZZ))
+
+
+@pytest.fixture(scope="session")
+def sympy_invariant_factors():
+    """The integer Smith form's diagonal ``sympy_invariant_factors(rows)``,
+    min(rows, cols) factors with a zero for each missing rank, taken from
+    sympy, independent of the code under test."""
+    return _sympy_invariant_factors

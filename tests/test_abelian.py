@@ -5,7 +5,9 @@ Expected values marked "frozen" were produced by scripts/oracle_spotcheck.py
 before being asserted here.
 """
 
+from itertools import product
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -52,53 +54,52 @@ small_matrices = st.integers(1, 4).flatmap(
 
 
 def test_snf_identity():
-    r = smith_normal_form(IntMatrix.identity(2))
-    assert r.diagonal() == (1, 1)
+    r = smith_normal_form(IntMatrix.identity(2), 5)
+    assert r.orders(5) == (1, 1)
 
 
 def test_snf_already_diagonal():
-    r = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 4]]))
-    assert r.diagonal() == (2, 4)
+    r = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 4]]), 8)
+    assert r.orders(8) == (2, 4)
 
 
 def test_snf_hand_reduced():
     # frozen: sympy gives diag (1, 3)
-    r = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]))
-    assert r.diagonal() == (1, 3)
+    r = smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]), 9)
+    assert r.orders(9) == (1, 3)
 
 
 def test_snf_empty_rejected():
     with pytest.raises(ShapeMismatch):
-        smith_normal_form(IntMatrix(0, 0, ()))
+        smith_normal_form(IntMatrix(0, 0, ()), 4)
 
 
-@given(small_matrices, st.sampled_from([None, 4, 6, 9, 12]))
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_snf_rejects_a_modulus_below_one(modulus):
+    with pytest.raises(BadModulus):
+        smith_normal_form(IntMatrix.from_rows([[2, 1], [1, 2]]), modulus)
+
+
+@given(small_matrices, st.sampled_from([4, 6, 9, 12]))
 @settings(max_examples=200, deadline=None)
 def test_snf_transform_identity(m, modulus):
-    """U, V are unimodular, V * Vinv = I and U*M*V = D with a divisibility
-    chain; over Z/n the same identities hold modulo n, and the factors
-    gcd(d_i, n) form the chain."""
+    """Over Z/n, U*M*V = D and V * Vinv = I modulo n with U, V invertible
+    modulo n, every entry lies in [0, n), and the orders gcd(d_i, n)
+    form a chain."""
     from math import gcd
 
     r = smith_normal_form(m, modulus)
-    ident = IntMatrix.identity(m.cols)
-    if modulus:
-        assert r.U.mul(m).mul(r.V).mod(modulus) == r.D
-        assert r.V.mul(r.Vinv).mod(modulus) == ident
-        assert gcd(r.U.det(), modulus) == gcd(r.V.det(), modulus) == 1
-        diag = [gcd(d, modulus) for d in r.diagonal()]
-    else:
-        assert r.U.mul(m).mul(r.V).as_rows() == r.D.as_rows()
-        assert r.V.mul(r.Vinv) == ident
-        assert abs(r.U.det()) == 1
-        assert abs(r.V.det()) == 1
-        diag = r.diagonal()
-    for i in range(len(diag)):
-        assert diag[i] >= 0
-        if i and diag[i - 1]:
-            assert diag[i] % diag[i - 1] == 0
-        if diag[i] == 0 and i + 1 < len(diag):
-            assert diag[i + 1] == 0
+    assert r.U.mul(m).mul(r.V).mod(modulus) == r.D
+    assert r.V.mul(r.Vinv).mod(modulus) == IntMatrix.identity(m.cols)
+    assert gcd(r.U.det(), modulus) == gcd(r.V.det(), modulus) == 1
+    assert all(0 <= x < modulus for part in (r.U, r.D, r.V, r.Vinv)
+               for x in part.entries)
+    orders = r.orders(modulus)
+    assert len(orders) == m.cols
+    for i, d in enumerate(orders):
+        assert modulus % d == 0
+        if i:
+            assert d % orders[i - 1] == 0
     # off-diagonal entries vanish
     for i in range(r.D.rows):
         for j in range(r.D.cols):
@@ -108,8 +109,8 @@ def test_snf_transform_identity(m, modulus):
 
 def test_snf_deterministic():
     m = IntMatrix.from_rows([[6, 4, 2], [4, 8, 6], [2, 6, 10]])
-    a = smith_normal_form(m)
-    b = smith_normal_form(m)
+    a = smith_normal_form(m, 12)
+    b = smith_normal_form(m, 12)
     assert a == b
 
 
@@ -179,15 +180,14 @@ def test_kernel_generator_orders_align():
 @given(small_matrices.filter(lambda m: m.rows == m.cols),
        st.sampled_from([2, 3, 4, 5, 8, 9, 12]))
 @settings(max_examples=120, deadline=None)
-def test_kernel_order_law(m, n):
-    """|ker(M mod n)| = prod gcd(d_i, n): kernel route vs SNF route."""
+def test_kernel_order_law(sympy_invariant_factors, m, n):
+    """|ker(M mod n)| = prod gcd(d_i, n), the d_i from sympy's integer
+    Smith form: kernel route vs SNF route."""
     from math import gcd
 
     g, gens = kernel_mod_n(m, n)
-    diag = list(smith_normal_form(m).diagonal())
-    diag += [0] * (m.cols - len(diag))
     expect = 1
-    for d in diag:
+    for d in sympy_invariant_factors(m.as_rows()):
         expect *= gcd(d, n)
     assert g.order == expect
     if expect <= 512:
@@ -398,22 +398,15 @@ def test_hom_kernel_mixed_orders():
     assert got == elems
 
 
-def reference_kernel_lattice(f, integer_hnf):
-    """The kernel lattice as first computed, kept as the reference for
-    the route modulo the target exponent: the integer Smith form of
-    [B | E], E = diag(target orders), projected to the source part, in
-    the integer Hermite form."""
-    k, l = f.source.rank, f.target.rank
-    if k == 0:
-        return []
-    if l == 0:
-        return integer_hnf(diagonal_rows((1,) * k), k)
-    rel = diagonal_rows(f.target.invariant_factors)
-    stacked = IntMatrix.from_rows(
-        [list(f.matrix.row(i)) + rel[i] for i in range(l)])
-    snf = smith_normal_form(stacked)
-    members = [list(snf.V.column(j)[:k]) for j in range(l, k + l)]
-    return integer_hnf(members + diagonal_rows(f.source.invariant_factors), k)
+def brute_force_kernel_lattice(f, integer_hnf):
+    """The kernel lattice spanned by every source element that f kills
+    and the source orders, in the integer Hermite form."""
+    rows = f.matrix.as_rows()
+    members = [list(x) for x in product(*map(range, f.source.invariant_factors))
+               if all(sum(map(mul, row, x)) % e == 0
+                      for row, e in zip(rows, f.target.invariant_factors))]
+    return integer_hnf(members + diagonal_rows(f.source.invariant_factors),
+                       f.source.rank)
 
 
 group_orders = st.lists(st.sampled_from([2, 3, 4, 6, 8, 9, 12]), max_size=3)
@@ -438,8 +431,9 @@ def mixed_order_homs(draw):
 @given(mixed_order_homs())
 @example(GroupHom(FinAbGroup.cyclic(4), FinAbGroup.cyclic(2), IntMatrix.from_rows([[1]])))
 @settings(max_examples=200, deadline=None)
-def test_kernel_lattice_matches_integer_smith_route(integer_hnf, f):
-    assert f.kernel_lattice() == reference_kernel_lattice(f, integer_hnf)
+def test_kernel_lattice_matches_brute_force(integer_hnf, f):
+    # at most 12^3 source elements
+    assert f.kernel_lattice() == brute_force_kernel_lattice(f, integer_hnf)
     ker, _ = f.kernel()
     img, _ = f.image()
     assert ker.order * img.order == f.source.order
@@ -606,17 +600,21 @@ def test_hnf_modulo_the_orders_matches_the_integer_form(integer_hnf, case):
 
 
 def test_unimodular_inverse():
-    """For a unimodular m the Smith form is U m V = I, so m^-1 = V U; the
-    same pass returns Vinv = V^-1."""
+    """For a unimodular m the Smith form over Z/n has a diagonal of units
+    (no sign is flipped, so -1 stays n - 1), and m^-1 = V D^-1 U modulo
+    n; the same pass returns Vinv = V^-1 modulo n."""
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
-    r = smith_normal_form(m)
-    ident = IntMatrix.identity(2).as_rows()
-    assert r.D.as_rows() == ident
-    inv = r.V.mul(r.U)
-    assert m.mul(inv).as_rows() == ident
-    assert inv.mul(m).as_rows() == ident
-    assert r.V.mul(r.Vinv).as_rows() == ident
-    assert r.Vinv.mul(r.V).as_rows() == ident
+    n = 7
+    r = smith_normal_form(m, n)
+    ident = IntMatrix.identity(2)
+    assert r.D.as_rows() == ((1, 0), (0, n - 1)) and r.orders(n) == (1, 1)
+    d_inv = IntMatrix.from_rows(
+        diagonal_rows([pow(r.D.entry(i, i), -1, n) for i in range(2)]))
+    inv = r.V.mul(d_inv).mul(r.U).mod(n)
+    assert m.mul(inv).mod(n) == ident
+    assert inv.mul(m).mod(n) == ident
+    assert r.V.mul(r.Vinv).mod(n) == ident
+    assert r.Vinv.mul(r.V).mod(n) == ident
 
 
 def test_subgroup_canonical_equality():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from crystor.cli import Report, main, parse_input, run_command
+from crystor.cli import main, parse_input, run_command
 from crystor.errors import NotPrime, NotPositiveDefinite, ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,29 +65,12 @@ def test_nonprime_p_rejected():
     assert "p = 4" in str(exc.value)
 
 
-@pytest.mark.parametrize(
-    "text,fragment,line,col",
-    [
-        ("p 5\nt = 1\nmu = [[5]]\n", "expected 'key = value'", 1, 1),
-        ("p = 5\nq = 1\nmu = [[5]]\n", "unknown key", 2, 1),
-        ("p = 5\np = 5\nt = 1\nmu = [[5]]\n", "duplicate key", 2, 1),
-        ("p = five\nt = 1\nmu = [[5]]\n", "expected an integer value", 1, 5),
-        ("p = 5\nt = 0\nmu = [[5]]\n", "t must be at least 1", 2, 5),
-        ("p = 5\nt = 2\nmu = [[1, 0]]\n", "expected 2x2", 3, 6),
-        ("p = 5\nt = 2\nmu = [[1, 0], [0]]\n", "row 2 of mu has 1", 3, 15),
-        ("p = 5\nt = 1\nmu = [[1],\n", "unclosed '['", 3, 6),
-        ("p = 5\nt = 1\nmu = [[1]] junk\n", "unexpected text after mu", 3, 12),
-        ("p = 5\nt = 1\nmu = [[]]\n", "at least one entry", 3, 8),
-        ("p = 5\nt = 1\nmu = []\n", "at least one row", 3, 7),
-        ("p = 5\nt = 1\nmu = [[x]]\n", "expected an integer in mu", 3, 8),
-        ("p = 5\nt = 1\nmu = [[1]]\nunits = [[3]]\n",
-         "expected a symbol name", 4, 11),
-        ("p = [[5]]\nt = 1\nmu = [[5]]\n", "p must be a single integer", 1, 5),
-        ("p = 5\nt = 1\nmu = 5\n", "mu must be a bracketed matrix", 3, 6),
-        ("p = 5\nt = 1\nmu =\n", "missing value", 3, 5),
-        ("p = 5\nt = 1\nmu = [[1] [2]]\n", "expected ',' or ']'", 3, 11),
-    ],
-)
+# one list of cases, shared with scripts/compare_outputs.py, which runs
+# each text through the command line under two checkouts
+PARSE_ERROR_CASES = json.loads((ROOT / "tests" / "parse_errors.json").read_text())
+
+
+@pytest.mark.parametrize("text,fragment,line,col", PARSE_ERROR_CASES)
 def test_positioned_parse_errors(text, fragment, line, col):
     with pytest.raises(ParseError) as exc:
         parse_input(text)
@@ -107,34 +90,6 @@ def test_units_shape_checked():
     with pytest.raises(ParseError) as exc:
         parse_input("p = 5\nt = 2\nmu = [[1,0],[0,1]]\nunits = [[a, b]]\n")
     assert "units is 1x2" in str(exc.value)
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def test_machine_report_round_trips():
-    report, code = run_command(["tate", "--v", "5", "--p", "5", "--m", "2"])
-    assert code == 0
-    again = Report.from_machine(report.machine())
-    assert again == report
-    # round-tripping the emitted text a second time is byte identical
-    assert again.machine() == report.machine()
-
-
-def test_machine_report_round_trips_with_file(tmp_path):
-    path = tmp_path / "in.txt"
-    path.write_text(TATE5)
-    report, code = run_command(["les", str(path)])
-    assert code == 0
-    assert Report.from_machine(report.machine()) == report
-
-
-def test_report_rejects_truncated_machine_text():
-    with pytest.raises(ParseError):
-        Report.from_machine("{\"command\":\"x\"}")
-    with pytest.raises(ParseError):
-        Report.from_machine("not json")
 
 
 # ---------------------------------------------------------------------------
