@@ -25,7 +25,9 @@ UTF-8 (all written to a temporary directory), 18 tate cases,
 the prime test (strong pseudoprimes included), three levels whose
 modulus has more than 4,300 digits and a set of error cases, each with
 and without ``--json``.  So every error message and its position is
-compared too.
+compared too.  Last come ``--help`` for the program and for each
+subcommand, whose ``SystemExit`` the child catches and records as the
+exit code.
 
 Prints every run whose stdout, stderr or exit code differ, then the
 number of differing runs per subcommand and the number of runs, and
@@ -58,6 +60,9 @@ PRIME_TEST_CASES = [
     170141183460469231731687303715884105727,
 ]
 
+# each one's --help is compared
+SUBCOMMANDS = ("component-group", "torsion", "crys1", "phi-check", "r1", "les",
+               "tate", "verify")
 
 # ranks of the seeded inputs: the corpus stops at t = 3
 SWEEP_RANKS = (8, 16, 32)
@@ -225,6 +230,8 @@ def child(src: str) -> int:
         try:
             with redirect_stdout(out), redirect_stderr(err):
                 code = crystor.cli.main(argv)
+        except SystemExit as e:  # argparse exits once it has printed help
+            code = e.code
         except Exception as e:  # the command line would show a traceback
             err.write(f"uncaught {type(e).__name__}: {e}\n")
             code = 1
@@ -274,6 +281,7 @@ def main() -> int:
                                                 write_complete_graph_inputs(Path(tmp)),
                                                 write_malformed_inputs(Path(tmp)))
                 for extra in ([], ["--json"])]
+        runs += [(["--help"], {})] + [([sub, "--help"], {}) for sub in SUBCOMMANDS]
         mine, theirs = run_tree(ROOT, runs), run_tree(other, runs)
     differ = Counter()
     for (argv, env), a, b in zip(runs, mine, theirs):

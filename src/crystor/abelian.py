@@ -954,25 +954,6 @@ class GroupHom(Record):
         )
         return hnf_rows(kernel_mod_n(scaled, n)[1], (n,) * k)
 
-    def kernel(self) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
-        basis = self.kernel_lattice()
-        return self._subgroup_from_lattice(basis, self.source)
-
-    def image(self) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
-        basis = self.image_lattice()
-        return self._subgroup_from_lattice(basis, self.target)
-
-    @staticmethod
-    def _subgroup_from_lattice(basis, ambient: FinAbGroup):
-        orders = quotient_orders(basis, ambient.invariant_factors)
-        group = FinAbGroup.of_orders(orders)
-        gens = []
-        for row in basis:
-            vec = tuple(x % ambient.invariant_factors[i] for i, x in enumerate(row))
-            if any(vec):
-                gens.append(vec)
-        return group, tuple(gens)
-
 
 def is_exact(f: GroupHom, g: GroupHom) -> bool:
     """Exactness at the middle of source --f--> middle --g--> target.

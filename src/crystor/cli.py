@@ -281,25 +281,22 @@ def _yn(flag: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments and the loaded input, and
+# returns its payload, its human lines and its exit code
 
 
-def _cmd_component_group(args) -> tuple[Report, int]:
-    data, digest = _load(args.input)
+def _cmd_component_group(args, data):
     phi = component_group(data)
     payload = _group_doc(phi)
     lines = [f"component group: {phi} (order {phi.order})"]
-    cmd = "component-group"
     if args.p_part:
-        cmd += " --p-part"
         pp = p_primary_part(phi, data.p)
         payload["p_primary"] = _group_doc(pp)
         lines.append(f"p-primary part (p = {data.p}): {pp}")
-    return Report(cmd, digest, payload, "\n".join(lines)), 0
+    return payload, lines, 0
 
 
-def _cmd_torsion(args) -> tuple[Report, int]:
-    data, digest = _load(args.input)
+def _cmd_torsion(args, data):
     n = level_modulus(data.p, args.m)
     t = data.t
     vals = [list(row) for row in data.mu.mod(n).as_rows()]
@@ -323,7 +320,7 @@ def _cmd_torsion(args) -> tuple[Report, int]:
     lines += _matrix_lines(symbols)
     lines.append(f"generators {', '.join(labels)}, each of order {n}; "
                  f"ambient order {ambient}")
-    return Report(f"torsion --m {args.m}", digest, payload, "\n".join(lines)), 0
+    return payload, lines, 0
 
 
 def _crys1_payload(rep) -> dict:
@@ -345,22 +342,19 @@ def _generator_lines(rep) -> list[str]:
     for gen, order in zip(rep.generators, rep.generator_orders):
         vec = ", ".join(str(x) for x in gen)
         lines.append(f"  ({vec}) of order {order}")
+    lines.append(f"spans the full module: {'yes' if rep.is_full else 'no'}")
     return lines
 
 
-def _cmd_crys1(args) -> tuple[Report, int]:
-    data, digest = _load(args.input)
+def _cmd_crys1(args, data):
     rep = crys1_torsion(data, args.m)
     payload = {"m": args.m}
     payload.update(_crys1_payload(rep))
     lines = [f"crys1 at level m = {args.m} (n = {rep.n}): "
              f"{rep.describe()} (order {rep.group.order})"]
     lines += _generator_lines(rep)
-    lines.append(f"spans the full module: {'yes' if rep.is_full else 'no'}")
-    cmd = f"crys1 --m {args.m}"
     code = 0
     if args.oracle:
-        cmd += " --oracle"
         ora = oracle_crys1(data, args.m)
         agrees = ora.group == rep.group and ora.lattice() == rep.lattice()
         payload["oracle"] = {
@@ -372,11 +366,10 @@ def _cmd_crys1(args) -> tuple[Report, int]:
                      f"agreement: {_yn(agrees)}")
         if not agrees:
             code = 2
-    return Report(cmd, digest, payload, "\n".join(lines)), code
+    return payload, lines, code
 
 
-def _cmd_phi_check(args) -> tuple[Report, int]:
-    data, digest = _load(args.input)
+def _cmd_phi_check(args, data):
     quotient, agrees = phi_formula_check(data, args.m)
     kernel_side = phi_n(data, args.m)
     payload = {
@@ -391,22 +384,17 @@ def _cmd_phi_check(args) -> tuple[Report, int]:
         f"component-group {data.p}^{args.m}-torsion: {kernel_side}",
         f"agreement: {_yn(agrees)}",
     ]
-    code = 0 if agrees else 2
-    return Report(f"phi-check --m {args.m}", digest, payload,
-                  "\n".join(lines)), code
+    return payload, lines, 0 if agrees else 2
 
 
-def _cmd_r1(args) -> tuple[Report, int]:
-    data, digest = _load(args.input)
+def _cmd_r1(args, data):
     g = r1crys1_tors(data, cap=args.cap)
     payload = {"cap": args.cap}
     payload.update(_group_doc(g))
-    human = f"stable torsion (p = {data.p}): {g} (order {g.order})"
-    return Report(f"r1 --cap {args.cap}", digest, payload, human), 0
+    return payload, [f"stable torsion (p = {data.p}): {g} (order {g.order})"], 0
 
 
-def _cmd_les(args) -> tuple[Report, int]:
-    data, digest = _load(args.input)
+def _cmd_les(args, data):
     rep = les_report(data, cap=args.cap)
     payload = {
         "cap": rep.cap,
@@ -438,31 +426,24 @@ def _cmd_les(args) -> tuple[Report, int]:
     for lv in rep.levels:
         lines.append(f"  level m = {lv.m}: {'ok' if lv.ok() else 'FAIL'}")
     lines.append(f"exact: {_yn(rep.exact)}")
-    code = 0 if rep.exact else 2
-    return Report(f"les --cap {args.cap}", digest, payload,
-                  "\n".join(lines)), code
+    return payload, lines, 0 if rep.exact else 2
 
 
-def _cmd_tate(args) -> tuple[Report, int]:
+def _cmd_tate(args, data):
     rep = tate_closed_form(args.v, args.p, args.m)
-    seed_text = f"v={args.v} p={args.p} m={args.m}"
-    digest = sha256(seed_text.encode()).hexdigest()
     payload = {"v": args.v, "p": args.p, "m": args.m,
                "description": rep.describe()}
     payload.update(_crys1_payload(rep))
     lines = [f"tate curve v = {args.v}, p = {args.p}, m = {args.m}: "
              f"{rep.describe()}"]
     lines += _generator_lines(rep)
-    lines.append(f"spans the full module: {'yes' if rep.is_full else 'no'}")
-    cmd = f"tate --v {args.v} --p {args.p} --m {args.m}"
-    return Report(cmd, digest, payload, "\n".join(lines)), 0
+    return payload, lines, 0
 
 
-def _cmd_verify(args) -> tuple[Report, int]:
+def _cmd_verify(args, data):
     # the suite, and the pushout layer under it, load for this command alone
     from .verify import _verify_checks
 
-    data, digest = _load(args.input)
     checks = _verify_checks(data, args.max_m, args.seed)
     passed = sum(1 for _, ok, _ in checks if ok)
     payload = {
@@ -484,13 +465,48 @@ def _cmd_verify(args) -> tuple[Report, int]:
         else:
             lines.append(f"FAIL {name}")
     lines.append(f"passed {passed}/{len(checks)}")
-    code = 0 if passed == len(checks) else 2
-    cmd = f"verify --max-m {args.max_m} --seed {args.seed}"
-    return Report(cmd, digest, payload, "\n".join(lines)), code
+    return payload, lines, 0 if passed == len(checks) else 2
 
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+_M = ("--m", {"type": int, "required": True,
+              "help": "level exponent; the modulus is p^m"})
+_CAP = ("--cap", {"type": int, "default": 12,
+                  "help": "largest level to test for stabilization"})
+
+# name -> (help text, handler, reads FILE, options in echo order); the
+# echo is the name, then each switch only when set and every other
+# option with its value
+_SUBCOMMANDS = {
+    "component-group": (
+        "invariant factors of the component group", _cmd_component_group, True,
+        [("--p-part", {"action": "store_true",
+                       "help": "also print the p-primary part"})]),
+    "torsion": ("valuations and unit symbols of the level-m torsion",
+                _cmd_torsion, True, [_M]),
+    "crys1": (
+        "maximal 1-crystalline submodule at level m", _cmd_crys1, True,
+        [_M, ("--oracle", {"action": "store_true",
+                           "help": "cross-check by evaluating mu mod p^m on "
+                                   "every etale vector"})]),
+    "phi-check": ("compare the crys1 quotient with component-group torsion",
+                  _cmd_phi_check, True, [_M]),
+    "r1": ("stable torsion of the level tower", _cmd_r1, True, [_CAP]),
+    "les": ("finite-level long-exact-sequence report", _cmd_les, True, [_CAP]),
+    "tate": (
+        "closed form for a rank-one lattice", _cmd_tate, False,
+        [("--v", {"type": int, "required": True,
+                  "help": "valuation of the period q"}),
+         ("--p", {"type": int, "required": True, "help": "residue prime"}), _M]),
+    "verify": (
+        "run the full invariant suite on an input file", _cmd_verify, True,
+        [("--max-m", {"type": int, "default": 3,
+                      "help": "largest level for the per-level checks"}),
+         ("--seed", {"type": int, "default": 0,
+                     "help": "seed for the randomized checks"})]),
+}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -506,86 +522,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="SUBCOMMAND")
-
-    def add(name: str, help_text: str, with_file: bool = True):
+    for name, (help_text, _, reads_file, options) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument("--json", action="store_true",
                         help="emit the canonical machine report")
-        if with_file:
+        if reads_file:
             sp.add_argument("input", metavar="FILE",
                             help="degeneration-data input file")
-        return sp
-
-    sp = add("component-group", "invariant factors of the component group")
-    sp.add_argument("--p-part", action="store_true", dest="p_part",
-                    help="also print the p-primary part")
-
-    sp = add("torsion", "valuations and unit symbols of the level-m torsion")
-    sp.add_argument("--m", type=int, required=True,
-                    help="level exponent; the modulus is p^m")
-
-    sp = add("crys1", "maximal 1-crystalline submodule at level m")
-    sp.add_argument("--m", type=int, required=True,
-                    help="level exponent; the modulus is p^m")
-    sp.add_argument("--oracle", action="store_true",
-                    help="cross-check by evaluating mu mod p^m on every "
-                         "etale vector")
-
-    sp = add("phi-check", "compare the crys1 quotient with component-group "
-                          "torsion")
-    sp.add_argument("--m", type=int, required=True,
-                    help="level exponent; the modulus is p^m")
-
-    sp = add("r1", "stable torsion of the level tower")
-    sp.add_argument("--cap", type=int, default=12,
-                    help="largest level to test for stabilization")
-
-    sp = add("les", "finite-level long-exact-sequence report")
-    sp.add_argument("--cap", type=int, default=12,
-                    help="largest level to test for stabilization")
-
-    sp = add("tate", "closed form for a rank-one lattice", with_file=False)
-    sp.add_argument("--v", type=int, required=True,
-                    help="valuation of the period q")
-    sp.add_argument("--p", type=int, required=True, help="residue prime")
-    sp.add_argument("--m", type=int, required=True,
-                    help="level exponent; the modulus is p^m")
-
-    sp = add("verify", "run the full invariant suite on an input file")
-    sp.add_argument("--max-m", type=int, default=3, dest="max_m",
-                    help="largest level for the per-level checks")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the randomized checks")
+        for flag, keywords in options:
+            sp.add_argument(flag, **keywords)
     return parser
 
 
-_DISPATCH = {
-    "component-group": _cmd_component_group,
-    "torsion": _cmd_torsion,
-    "crys1": _cmd_crys1,
-    "phi-check": _cmd_phi_check,
-    "r1": _cmd_r1,
-    "les": _cmd_les,
-    "tate": _cmd_tate,
-    "verify": _cmd_verify,
-}
+def _run(args) -> tuple[Report, int]:
+    _, handler, reads_file, options = _SUBCOMMANDS[args.command]
+    if reads_file:
+        data, digest = _load(args.input)
+    else:  # tate: the digest of its parameters
+        data = None
+        digest = sha256(f"v={args.v} p={args.p} m={args.m}".encode()).hexdigest()
+    payload, lines, code = handler(args, data)
+    echo = [args.command]
+    for flag, keywords in options:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if keywords.get("action") != "store_true":
+            echo += [flag, str(value)]
+        elif value:
+            echo.append(flag)
+    return Report(" ".join(echo), digest, payload, "\n".join(lines)), code
 
 
 def run_command(argv: list[str]) -> tuple[Report, int]:
     """Parse argv and run the subcommand; returns the report and exit
     code, raising ArtifactError subclasses on bad input."""
-    args = build_parser().parse_args(argv)
-    return _DISPATCH[args.command](args)
+    return _run(build_parser().parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
     # answers are exact, so a large level or entry prints all its digits
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        report, code = _DISPATCH[args.command](args)
+        args = build_parser().parse_args(argv)
+        report, code = _run(args)
     except ArtifactError as e:
         print(f"error: {e.identifier}: {e}", file=sys.stderr)
         return e.exit_code

@@ -26,6 +26,7 @@ from .abelian import (
     GroupHom,
     IntMatrix,
     diagonal_rows,
+    hnf_rows,
     is_exact,
     kernel_mod_n,
     smith_normal_form,
@@ -316,8 +317,9 @@ def mp_hom(mor: ExtNuMorphism) -> GroupHom:
 
 
 def _is_ses(f: GroupHom, g: GroupHom) -> bool:
-    injective = f.kernel()[0].is_trivial()
-    surjective = g.image()[0] == g.target
+    # ker f is the lattice of the source's relations alone, im g all of Z^rank
+    injective = f.kernel_lattice() == hnf_rows([], f.source.invariant_factors)
+    surjective = g.image_lattice() == hnf_rows([], (1,) * g.target.rank)
     return injective and is_exact(f, g) and surjective
 
 
@@ -328,6 +330,9 @@ def check_mp_exactness(f: ExtNuMorphism, g: ExtNuMorphism) -> bool:
     Computed twice: through the presented middle terms, and part by part
     on the two filtration pieces (the induced maps are block diagonal,
     so the generic-fiber middle decomposes).  The routes must agree.
+    Each route decides all three conditions of a short exact triple as
+    equalities of canonical lattices: ker f is the source's relation
+    lattice, im f is ker g, and im g is the whole coordinate lattice.
     """
     if f.target != g.source:
         raise ShapeMismatch("the two morphisms do not chain")
