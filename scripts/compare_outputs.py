@@ -29,6 +29,11 @@ compared too.  Last come ``--help`` for the program and for each
 subcommand, whose ``SystemExit`` the child catches and records as the
 exit code.
 
+A second pass runs ``python -m crystor`` itself, one process per run
+with buffered stdout, so the process's own exit path is compared too:
+every subcommand once, an exit of 1 and of 3 (exit 2 needs a faulty
+route), and ``--help``.
+
 Prints every run whose stdout, stderr or exit code differ, then the
 number of differing runs per subcommand and the number of runs, and
 exits 1 if any differ.  Stdlib only.
@@ -215,6 +220,23 @@ def argument_lists(sweep_paths, oracle_inputs, budget_path, graph_paths,
     return runs
 
 
+# (argv, environment overrides) of the process-level pass
+PROCESS_RUNS = [
+    (["component-group", "corpus/t3_dense_p5.txt", "--p-part"], {}),
+    (["torsion", "corpus/t3_dense_p5.txt", "--m", "2"], {}),
+    (["crys1", "corpus/t3_dense_p5.txt", "--m", "2", "--oracle"], {}),
+    (["phi-check", "corpus/t3_dense_p5.txt", "--m", "2", "--json"], {}),
+    (["r1", "corpus/t3_dense_p5.txt"], {}),
+    (["les", "corpus/t3_dense_p5.txt", "--json"], {}),
+    (["tate", "--v", "5", "--p", "5", "--m", "2"], {}),
+    (["verify", "corpus/t3_dense_p5.txt", "--max-m", "1"], {}),
+    (["tate", "--v", "5", "--p", "6", "--m", "2"], {}),
+    (["crys1", "corpus/tate_v05_p5.txt", "--m", "1", "--oracle"],
+     {"CRYSTOR_ENUM_BUDGET": "1"}),
+    (["--help"], {}),
+]
+
+
 def child(src: str) -> int:
     """Run every argument list read from stdin; write the results to stdout."""
     sys.path.insert(0, src)
@@ -258,6 +280,20 @@ def run_tree(tree: Path, runs) -> list:
     return json.loads(proc.stdout)
 
 
+def run_processes(tree: Path) -> list:
+    """(stdout, stderr, exit code) of ``python -m crystor`` per
+    PROCESS_RUNS entry, importing crystor from ``tree``'s src/."""
+    results = []
+    for argv, env in PROCESS_RUNS:
+        child_env = dict(os.environ, PYTHONPATH=str(tree / "src"), **env)
+        child_env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.run([sys.executable, "-m", "crystor", *argv],
+                              capture_output=True, text=True, cwd=ROOT,
+                              env=child_env, check=False)
+        results.append((proc.stdout, proc.stderr, proc.returncode))
+    return results
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawTextHelpFormatter)
@@ -283,13 +319,17 @@ def main() -> int:
                 for extra in ([], ["--json"])]
         runs += [(["--help"], {})] + [([sub, "--help"], {}) for sub in SUBCOMMANDS]
         mine, theirs = run_tree(ROOT, runs), run_tree(other, runs)
+    labels = [("crystor", argv, env) for argv, env in runs]
+    labels += [("python -m crystor", argv, env) for argv, env in PROCESS_RUNS]
+    mine += run_processes(ROOT)
+    theirs += run_processes(other)
     differ = Counter()
-    for (argv, env), a, b in zip(runs, mine, theirs):
+    for (program, argv, env), a, b in zip(labels, mine, theirs):
         if a == b:
             continue
-        differ[argv[0]] += 1
+        differ[argv[0] if program == "crystor" else program] += 1
         prefix = " ".join(f"{k}={v}" for k, v in env.items())
-        print(f"DIFF {prefix + ' ' if prefix else ''}crystor {' '.join(argv)}")
+        print(f"DIFF {prefix + ' ' if prefix else ''}{program} {' '.join(argv)}")
         for name, x, y in zip(("stdout", "stderr", "exit"), a, b):
             if x != y:
                 print(f"  {name} here:  {x!r}")
@@ -297,7 +337,7 @@ def main() -> int:
     if differ:
         print("differing runs by subcommand: "
               + ", ".join(f"{sub} {k}" for sub, k in sorted(differ.items())))
-    print(f"{len(runs)} runs, {differ.total()} differ")
+    print(f"{len(labels)} runs, {differ.total()} differ")
     return 1 if differ else 0
 
 

@@ -6,18 +6,7 @@ symbolic unit parts."""
 
 from importlib import import_module
 
-from .abelian import (
-    FinAbGroup,
-    GroupHom,
-    IntMatrix,
-    SnfResult,
-    enumerate_subgroups,
-    is_exact,
-    kernel_mod_n,
-    n_torsion,
-    p_primary_part,
-    smith_normal_form,
-)
+from .abelian import FinAbGroup, IntMatrix, n_torsion, p_primary_part
 from .crys import (
     Crys1Report,
     LesReport,
@@ -39,16 +28,19 @@ from .degen import (
     torsion_module,
 )
 
-# the extension-class and pushout layers serve ``verify`` alone, so their
-# names and modules load on first use (PEP 562), not with the package
+# the presentation layer over Z/n and the extension-class and pushout
+# layers serve ``verify``, the oracle and lattice comparisons alone, so
+# their names and modules load on first use (PEP 562), not with the package
 _HOMES = {
+    **dict.fromkeys(("GroupHom", "SnfResult", "enumerate_subgroups", "is_exact",
+                     "kernel_mod_n", "smith_normal_form"), "presentation"),
     **dict.fromkeys(("ExtClass", "KummerClass", "baer_neg", "baer_sum",
                      "is_one_crystalline", "raynaud_split"), "kummer"),
     **dict.fromkeys(("ExtNuMorphism", "ExtNuObject", "check_mp_exactness",
                      "degeneration_object", "mp_pushout", "star_pullback"),
                     "pushout"),
 }
-_SUBMODULES = ("kummer", "pushout", "verify")
+_SUBMODULES = ("kummer", "presentation", "pushout", "verify")
 
 
 def __getattr__(name: str):

@@ -514,7 +514,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise BadInput(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand's name and help.  When ``argv``
+    starts with a subcommand's name, only that subcommand gets its
+    arguments, since parsing reaches no other; else every one does, so
+    the program's help and its usage errors read the same either way."""
     parser = _ArgumentParser(
         prog="crystor",
         description="Maximal 1-crystalline torsion of totally degenerate "
@@ -522,8 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="SUBCOMMAND")
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     for name, (help_text, _, reads_file, options) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text, description=help_text)
+        if named not in (None, name):
+            continue
         sp.add_argument("--json", action="store_true",
                         help="emit the canonical machine report")
         if reads_file:
@@ -555,15 +562,17 @@ def _run(args) -> tuple[Report, int]:
 def run_command(argv: list[str]) -> tuple[Report, int]:
     """Parse argv and run the subcommand; returns the report and exit
     code, raising ArtifactError subclasses on bad input."""
-    return _run(build_parser().parse_args(argv))
+    return _run(build_parser(argv).parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
     # answers are exact, so a large level or entry prints all its digits
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         report, code = _run(args)
     except ArtifactError as e:
         print(f"error: {e.identifier}: {e}", file=sys.stderr)

@@ -34,6 +34,9 @@ the stable group of the level tower, read off the valuations of
 read off ``data.invariants``.  Disagreement between routes is a bug,
 never tolerance: it raises RouteDisagreement or is reported as a
 failed check.
+
+Only the oracle and ``Crys1Report.lattice`` run the presentation layer
+over Z/n, so they import it on call and the other routes never load it.
 """
 
 from __future__ import annotations
@@ -46,13 +49,10 @@ from math import gcd
 from .abelian import (
     FinAbGroup,
     IntMatrix,
-    extend_span,
-    hnf_rows,
     local_smith,
     n_torsion,
     p_primary_part,
     p_valuation,
-    require_element_budget,
     require_prime,
 )
 from .degen import DegenerationData, level_modulus
@@ -90,6 +90,8 @@ class Crys1Report(Record):
 
     def lattice(self):
         """Canonical HNF basis of the subgroup's lattice in Z^{2t}."""
+        from .presentation import hnf_rows
+
         return hnf_rows(self.generators, (self.n,) * (2 * self.t))
 
     def describe(self) -> str:
@@ -142,13 +144,15 @@ def oracle_crys1(data: DegenerationData, m: int) -> Crys1Report:
     multiples of the last column, a step that is streamed, so no list of
     n^t images is held.  Each killed vector outside the span so far is
     picked as a generator, and the span grows by that one generator
-    (abelian.extend_span).  The abstract type of the resulting y-part is
-    read off by counting p^k-torsion elements and the generator orders
-    by gcds, so no Smith or Hermite form is shared with the direct
-    route.  Raises BudgetExceeded when n^t exceeds enum_budget(), which
+    (presentation.extend_span).  The abstract type of the resulting
+    y-part is read off by counting p^k-torsion elements and the
+    generator orders by gcds, so no Smith or Hermite form is shared with
+    the direct route.  Raises BudgetExceeded when n^t exceeds enum_budget(), which
     CRYSTOR_ENUM_BUDGET sets, and RouteDisagreement when the span's
     torsion counts are not powers of p.
     """
+    from .presentation import extend_span, require_element_budget
+
     data.validate()
     p, t = data.p, data.t
     n = level_modulus(p, m)

@@ -21,7 +21,6 @@ from math import prod
 
 from .abelian import (
     FinAbGroup,
-    GroupHom,
     IntMatrix,
     LocalSmith,
     invariant_factors_mod_det,
@@ -181,6 +180,8 @@ def torsion_module(data: DegenerationData, m: int) -> ExtClass:
 
 def monodromy_map(data: DegenerationData, m: int) -> GroupHom:
     """nu = mu mod p^m, from the etale part to the multiplicative part."""
+    from .presentation import GroupHom
+
     data.validate()
     n = level_modulus(data.p, m)
     free = FinAbGroup.of_orders([n] * data.t)

@@ -21,19 +21,11 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm
 
-from .abelian import (
-    FinAbGroup,
-    GroupHom,
-    IntMatrix,
-    diagonal_rows,
-    hnf_rows,
-    is_exact,
-    kernel_mod_n,
-    smith_normal_form,
-)
+from .abelian import FinAbGroup, IntMatrix, diagonal_rows
 from .degen import DegenerationData, raynaud_decompose
 from .errors import BadInput, NotAMorphism, RouteDisagreement, ShapeMismatch
 from .kummer import ExtClass, KummerClass, is_one_crystalline
+from .presentation import GroupHom, hnf_rows, is_exact, kernel_mod_n, smith_normal_form
 from .record import Record, set_field
 
 

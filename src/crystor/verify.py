@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .abelian import IntMatrix, enum_budget, hnf_rows, n_torsion, p_valuation
+from .abelian import IntMatrix, n_torsion, p_valuation
 from .crys import (
     component_group,
     crys1_tate_module,
@@ -39,6 +39,7 @@ from .pushout import (
     sum_inclusion,
     sum_projection,
 )
+from .presentation import enum_budget, hnf_rows
 
 
 def _matrix_poly(mat: IntMatrix, coeffs: list[int], n: int) -> IntMatrix:

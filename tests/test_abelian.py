@@ -14,21 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from crystor.abelian import (
     FinAbGroup,
-    GroupHom,
     IntMatrix,
     diagonal_rows,
-    enumerate_subgroups,
-    hnf_rows,
     invariant_factors_mod_det,
-    is_exact,
-    kernel_mod_n,
     n_torsion,
     p_primary_part,
     p_valuation,
-    quotient_orders,
-    smith_normal_form,
-    subgroup_count_bound,
-    subgroup_elements,
 )
 from crystor.errors import (
     BadInput,
@@ -36,6 +27,17 @@ from crystor.errors import (
     BudgetExceeded,
     NotPrime,
     ShapeMismatch,
+)
+from crystor.presentation import (
+    GroupHom,
+    enumerate_subgroups,
+    hnf_rows,
+    is_exact,
+    kernel_mod_n,
+    quotient_orders,
+    smith_normal_form,
+    subgroup_count_bound,
+    subgroup_elements,
 )
 
 
@@ -530,9 +532,9 @@ def test_subgroup_budget_counts_subgroups(monkeypatch):
 def test_no_library_function_takes_a_budget():
     import inspect
 
-    from crystor import abelian, cli, crys, degen, kummer, pushout
+    from crystor import abelian, cli, crys, degen, kummer, presentation, pushout
 
-    for module in (abelian, crys, degen, kummer, pushout, cli):
+    for module in (abelian, presentation, crys, degen, kummer, pushout, cli):
         for name, fn in inspect.getmembers(module, inspect.isfunction):
             assert "budget" not in inspect.signature(fn).parameters, name
 

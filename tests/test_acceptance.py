@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from crystor.abelian import IntMatrix, kernel_mod_n, n_torsion, p_primary_part
+from crystor.abelian import FinAbGroup, IntMatrix, n_torsion, p_primary_part
 from crystor.crys import (
     component_group,
     crys1_torsion,
@@ -30,6 +30,7 @@ from crystor.kummer import (
     is_one_crystalline,
     raynaud_split,
 )
+from crystor.presentation import GroupHom, kernel_mod_n
 from crystor.pushout import (
     ExtNuObject,
     check_mp_exactness,
@@ -41,7 +42,6 @@ from crystor.pushout import (
     sum_inclusion,
     sum_projection,
 )
-from crystor.abelian import FinAbGroup, GroupHom
 
 ORACLE_SPACE = 1 << 12
 

@@ -274,9 +274,9 @@ def test_oracle_non_subgroup_span_exit_two(capsys, monkeypatch):
     # powers of p; the oracle reports it as a route disagreement.  The
     # faulty one-generator step keeps the new vector but drops its
     # multiples and everything spanned before it.
-    import crystor.crys
+    import crystor.presentation
 
-    monkeypatch.setattr(crystor.crys, "extend_span",
+    monkeypatch.setattr(crystor.presentation, "extend_span",
                         lambda elements, g, n: frozenset({(0,) * len(g), g}))
     code, out, err = run_main(
         capsys, ["crys1", str(CORPUS / "tate_v05_p5.txt"), "--m", "1", "--oracle"])
@@ -371,22 +371,38 @@ CORE_MODULES = ["crystor.abelian", "crystor.crys", "crystor.degen", "crystor.err
                 "crystor.record"]
 
 
-@EVERY_SUBCOMMAND
-def test_each_subcommand_loads_only_what_it_runs(argv):
-    """The extension-class and pushout layers and the invariant suite
-    load for ``verify`` alone, and crystor's records come from its own
-    base class: no run loads dataclasses, the inspect it pulls in, or
-    typing."""
+def added_modules(argv: list[str]) -> list[str]:
+    """The modules that one in-process ``main(argv + ["--json"])`` loads
+    after ``import crystor.cli``; the run must exit 0."""
     proc = subprocess.run([sys.executable, "-c", ADDED_MODULES, *argv, "--json"],
                           cwd=ROOT, capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     code, added = json.loads(proc.stdout)
+    assert code == 0
+    return added
+
+
+@EVERY_SUBCOMMAND
+def test_each_subcommand_loads_only_what_it_runs(argv):
+    """The extension-class and pushout layers and the invariant suite
+    load for ``verify`` alone, the presentation layer over Z/n for
+    ``verify`` and ``crys1 --oracle`` alone, and crystor's records come
+    from its own base class: no run loads dataclasses, the inspect it
+    pulls in, or typing."""
+    added = added_modules(argv)
     expected = CORE_MODULES + ["crystor.cli"]
     if argv[0] == "verify":
         expected += ["crystor.kummer", "crystor.pushout", "crystor.verify"]
-    assert code == 0
+    if argv[0] == "verify" or "--oracle" in argv:
+        expected.append("crystor.presentation")
     assert [m for m in added if m.startswith("crystor.")] == sorted(expected)
     assert not {"dataclasses", "inspect", "typing"} & set(added)
+
+
+def test_crys1_loads_the_presentation_layer_for_the_oracle_alone():
+    added = added_modules(["crys1", "corpus/t3_dense_p5.txt", "--m", "2"])
+    assert [m for m in added if m.startswith("crystor.")] == sorted(
+        CORE_MODULES + ["crystor.cli"])
 
 
 def test_package_import_loads_the_core_alone():
@@ -539,7 +555,7 @@ def test_golden_machine_report(name, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# process-level smoke test
+# process level: ``python -m crystor`` ends with os._exit once main returns
 
 
 def test_module_entry_point_runs():
@@ -560,3 +576,71 @@ def test_module_entry_point_reports_errors():
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: NotPrime:")
+
+
+@pytest.mark.parametrize("argv, env, code", [
+    (["tate", "--v", "5", "--p", "5", "--m", "2"], {}, 0),
+    (["tate", "--v", "5", "--p", "6", "--m", "2", "--json"], {}, 1),
+    (["crys1", "corpus/tate_v05_p5.txt", "--m", "1", "--oracle"],
+     {"CRYSTOR_ENUM_BUDGET": "1"}, 3),
+], ids=["exit0", "exit1", "exit3"])
+def test_module_entry_point_matches_in_process_main(argv, env, code, capsys,
+                                                    monkeypatch):
+    # buffered, so the output reaches the pipe only through the flush
+    proc = subprocess.run([sys.executable, "-m", "crystor", *argv], cwd=ROOT,
+                          capture_output=True,
+                          env=src_env(PYTHONIOENCODING="utf-8", PYTHONUNBUFFERED="",
+                                      **env))
+    monkeypatch.chdir(ROOT)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (proc.stdout, proc.stderr, proc.returncode) == (
+        out.encode(), err.encode(), code)
+
+
+ATEXIT_THEN_MODULE = """
+import atexit, runpy, sys
+atexit.register(print, "atexit handler ran")
+sys.argv = ["crystor", "tate", "--v", "5", "--p", "5", "--m", "2", "--json"]
+runpy.run_module("crystor", run_name="__main__")
+"""
+
+
+def test_atexit_handlers_run_before_the_process_ends():
+    proc = subprocess.run([sys.executable, "-c", ATEXIT_THEN_MODULE],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("}\natexit handler ran\n")
+
+
+SYS_EXIT_MAIN = "import sys; from crystor.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def closed_pipe_run(args: list[str], unbuffered: str) -> tuple[int, str]:
+    """Exit code and stderr of ``python ARGS`` writing to a pipe whose
+    read end is closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *args], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True,
+                              env=src_env(PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_ends_as_through_sys_exit(unbuffered):
+    # unbuffered, the write in main raises; buffered, the flush does, and
+    # the process leaves through sys.exit so the interpreter reports it
+    argv = ["tate", "--v", "5", "--p", "5", "--m", "2"]
+    code, err = closed_pipe_run(["-m", "crystor", *argv], unbuffered)
+    ref_code, ref_err = closed_pipe_run(["-c", SYS_EXIT_MAIN, *argv], unbuffered)
+    assert code == ref_code == (1 if unbuffered else 120)
+    assert (err.splitlines()[-1] == ref_err.splitlines()[-1]
+            == "BrokenPipeError: [Errno 32] Broken pipe")
+    if not unbuffered:
+        assert err == ref_err

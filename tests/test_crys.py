@@ -83,7 +83,7 @@ def test_order_law_snf_route(sympy_invariant_factors):
 
 def test_x_span_always_inside():
     rep = crys1_torsion(data_of(3, [[2, 1], [1, 2]]), 2)
-    from crystor.abelian import lattice_solve
+    from crystor.presentation import lattice_solve
 
     basis = rep.lattice()
     for i in range(rep.t):
@@ -126,7 +126,7 @@ def test_oracle_rank_two_order_27():
     rep = oracle_crys1(data_of(3, [[2, 1], [1, 2]]), 1)
     assert rep.group.order == 27
     # the kernel line (1, 1) must be in the span
-    from crystor.abelian import lattice_solve
+    from crystor.presentation import lattice_solve
 
     assert lattice_solve(rep.lattice(), (0, 0, 1, 1)) is not None
 
@@ -247,9 +247,9 @@ def test_equal_lifts_and_orders_are_one_object_across_routes():
 
 
 def test_oracle_enumerates_no_subgroups(monkeypatch):
-    import crystor.abelian
+    import crystor.presentation
 
-    calls = record_calls(monkeypatch, crystor.abelian.enumerate_subgroups)
+    calls = record_calls(monkeypatch, crystor.presentation.enumerate_subgroups)
     data = data_of(2, [[6, 1], [1, 4]])
     assert oracle_crys1(data, 2).group == crys1_torsion(data, 2).group
     assert calls == []
@@ -298,7 +298,8 @@ def test_phi_n_values():
 
 
 def test_phi_two_routes_random():
-    from crystor.abelian import kernel_mod_n, n_torsion
+    from crystor.abelian import n_torsion
+    from crystor.presentation import kernel_mod_n
     import random
 
     rng = random.Random(11)
@@ -329,7 +330,8 @@ def test_phi_formula_check_values():
 def toric_quotient_by_hnf(rep, integer_hnf):
     """Reference route: the y-part lattice in the integer HNF, then the
     Smith form over Z/n of n Z^t in its coordinates."""
-    from crystor.abelian import diagonal_rows, quotient_orders
+    from crystor.abelian import diagonal_rows
+    from crystor.presentation import quotient_orders
 
     t = rep.t
     n_orders = (rep.n,) * t
@@ -507,9 +509,9 @@ def record_calls(monkeypatch, real, full=False) -> list:
 
 @pytest.fixture
 def snf_calls(monkeypatch):
-    import crystor.abelian
+    import crystor.presentation
 
-    return record_calls(monkeypatch, crystor.abelian.smith_normal_form)
+    return record_calls(monkeypatch, crystor.presentation.smith_normal_form)
 
 
 def test_one_smith_form_of_mu_per_input(snf_calls, monkeypatch):

@@ -15,14 +15,13 @@ from hypothesis import given, settings, strategies as st
 from crystor.abelian import (
     IntMatrix,
     diagonal_rows,
-    hnf_rows,
     invariant_factors_mod_det,
-    kernel_mod_n,
     local_smith,
     p_valuation,
 )
 from crystor.crys import crys1_torsion, phi_formula_check
 from crystor.degen import DegenerationData
+from crystor.presentation import hnf_rows, kernel_mod_n
 
 
 def spd_rows(rng, t, bound):

@@ -8,11 +8,8 @@ import pytest
 
 import crystor
 
-# __main__ runs the command line on import and holds no examples
 MODULES = ["crystor"] + [
-    f"crystor.{info.name}"
-    for info in pkgutil.iter_modules(crystor.__path__)
-    if info.name != "__main__"
+    f"crystor.{info.name}" for info in pkgutil.iter_modules(crystor.__path__)
 ]
 
 

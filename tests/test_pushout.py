@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystor.abelian import FinAbGroup, GroupHom, IntMatrix, is_exact, quotient_orders
+from crystor.abelian import FinAbGroup, IntMatrix
 from crystor.degen import DegenerationData, torsion_module
 from crystor.errors import BadInput, NotAMorphism, RouteDisagreement, ShapeMismatch
 from crystor.kummer import ExtClass, KummerClass, baer_sum, is_one_crystalline
+from crystor.presentation import GroupHom, is_exact, quotient_orders
 from crystor.pushout import (
     ExtNuMorphism,
     ExtNuObject,
@@ -116,7 +117,8 @@ def test_presented_matches_integer_smith_form(sympy_invariant_factors,
     # sympy's integer Smith form of the whole relation matrix is the
     # reference for the group; coords must be a homomorphism that kills
     # every relation and reaches the whole group
-    from crystor.abelian import diagonal_rows, hnf_rows
+    from crystor.abelian import diagonal_rows
+    from crystor.presentation import hnf_rows
 
     orders, relations = presentation
     p = PresentedModule(orders, relations)
@@ -469,7 +471,7 @@ def test_pullback_generic_fiber_always_crystalline(data):
 
 def test_pullback_is_maximal_among_subgroups(subgroups_by_closure):
     # over every subgroup of (Z/4)^2, each given by all of its elements
-    from crystor.abelian import hnf_rows, lattice_solve
+    from crystor.presentation import hnf_rows, lattice_solve
 
     n, t = 4, 2
     subgroups = subgroups_by_closure(n, t)

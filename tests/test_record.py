@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from crystor.abelian import FinAbGroup, GroupHom, IntMatrix, LocalSmith, SnfResult
+from crystor.abelian import FinAbGroup, IntMatrix, LocalSmith
 from crystor.cli import Report
 from crystor.crys import (
     Crys1Report,
@@ -20,6 +20,7 @@ from crystor.crys import (
 from crystor.degen import DegenerationData
 from crystor.errors import ShapeMismatch
 from crystor.kummer import ExtClass, KummerClass
+from crystor.presentation import GroupHom, SnfResult
 from crystor.pushout import ExtNuMorphism, ExtNuObject, PresentedModule
 from crystor.record import Record, set_field
 
