@@ -71,17 +71,6 @@ class IntMatrix(Record):
                 f"entries, got {len(self.entries)}"
             )
 
-    # hashed and compared inside every GroupHom comparison: reading the
-    # fields directly, not through the base's attrgetter, is faster
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.rows, self.cols, self.entries)
-                    == (other.rows, other.cols, other.entries))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
@@ -425,16 +414,6 @@ class FinAbGroup(Record):
                 raise ShapeMismatch("invariant factors must be >= 2")
             if i and d % self.invariant_factors[i - 1]:
                 raise ShapeMismatch("invariant factors must form a divisibility chain")
-
-    # the most compared record: reading the field directly, not through
-    # the base's attrgetter, halves the cost of a call
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.invariant_factors == other.invariant_factors
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.invariant_factors)
 
     @classmethod
     def trivial(cls) -> "FinAbGroup":

@@ -20,7 +20,6 @@ exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -52,16 +51,12 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _TOKEN_RE = re.compile(
     rf"\s*(?:([][,])|({_INT_RE.pattern})|({_IDENT_RE.pattern})|(\S))")
-_KEYS = ("p", "t", "mu", "units")
+# each input key and the kind of its matrix entries; None for a single integer
+_KEYS = {"p": None, "t": None, "mu": "int", "units": "name"}
 
 
 # ---------------------------------------------------------------------------
 # input parsing
-
-
-def _strip_comment(line: str) -> str:
-    # cut the suffix only, so columns before the '#' keep their positions
-    return line.split("#", 1)[0]
 
 
 def _tokens(lines: list[str], i: int, j: int):
@@ -153,7 +148,9 @@ def parse_input(text: str) -> DegenerationData:
     Parse errors carry a 1-based line and column; validation errors name
     the offending field.
     """
-    lines = [_strip_comment(raw) for raw in text.split("\n")]
+    # cut each comment suffix only, so columns before the '#' keep their
+    # positions
+    lines = [raw.split("#", 1)[0] for raw in text.split("\n")]
     entries: dict[str, tuple] = {}
     i = 0
     while i < len(lines):
@@ -167,10 +164,11 @@ def parse_input(text: str) -> DegenerationData:
         if eq < 0:
             raise ParseError("expected 'key = value'", lineno, col)
         key = line[:eq].strip()
-        if not key or not _IDENT_RE.fullmatch(key):
+        if not _IDENT_RE.fullmatch(key):
             raise ParseError("expected a key name before '='", lineno, col)
         if key not in _KEYS:
             raise ParseError(f"unknown key {key!r}", lineno, col)
+        kind = _KEYS[key]
         if key in entries:
             raise ParseError(f"duplicate key {key!r}", lineno, col)
         rest = line[eq + 1:]
@@ -179,14 +177,13 @@ def parse_input(text: str) -> DegenerationData:
             raise ParseError(f"missing value for {key!r}", lineno, eq + 2)
         vcol = eq + 1 + (len(rest) - len(rest.lstrip()))
         if value_text[0] == "[":
-            if key in ("p", "t"):
+            if kind is None:
                 raise ParseError(f"{key} must be a single integer",
                                  lineno, vcol + 1)
-            kind = "name" if key == "units" else "int"
             rows, i = _parse_matrix(lines, i, vcol, kind, key)
             entries[key] = (rows, lineno, vcol + 1)
         else:
-            if key in ("mu", "units"):
+            if kind is not None:
                 raise ParseError(f"{key} must be a bracketed matrix",
                                  lineno, vcol + 1)
             if not _INT_RE.fullmatch(value_text):
@@ -201,23 +198,19 @@ def parse_input(text: str) -> DegenerationData:
     t_val, t_line, t_col = entries["t"]
     if t_val < 1:
         raise ParseError("t must be at least 1", t_line, t_col)
-    mu_rows, mu_line, mu_col = entries["mu"]
-    if len(mu_rows) != t_val or len(mu_rows[0]) != t_val:
-        raise ParseError(
-            f"mu is {len(mu_rows)}x{len(mu_rows[0])}, expected {t_val}x{t_val}",
-            mu_line, mu_col,
-        )
+    for key in ("mu", "units"):
+        if key in entries:
+            rows, line, col = entries[key]
+            if len(rows) != t_val or len(rows[0]) != t_val:
+                raise ParseError(
+                    f"{key} is {len(rows)}x{len(rows[0])}, "
+                    f"expected {t_val}x{t_val}",
+                    line, col,
+                )
     units = None
     if "units" in entries:
-        u_rows, u_line, u_col = entries["units"]
-        if len(u_rows) != t_val or len(u_rows[0]) != t_val:
-            raise ParseError(
-                f"units is {len(u_rows)}x{len(u_rows[0])}, "
-                f"expected {t_val}x{t_val}",
-                u_line, u_col,
-            )
-        units = tuple(tuple(row) for row in u_rows)
-    data = DegenerationData(p_val, IntMatrix.from_rows(mu_rows), units)
+        units = tuple(tuple(row) for row in entries["units"][0])
+    data = DegenerationData(p_val, IntMatrix.from_rows(entries["mu"][0]), units)
     data.validate()
     return data
 
@@ -256,6 +249,9 @@ class Report(Record):
         set_field(self, "human", human)
 
     def machine(self) -> str:
+        # imported here, so runs with human output never load json
+        import json
+
         doc = {
             "command": self.command,
             "input_sha256": self.digest,
@@ -579,7 +575,3 @@ def main(argv: list[str] | None = None) -> int:
         return e.exit_code
     sys.stdout.write(report.machine() if args.json else report.human + "\n")
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

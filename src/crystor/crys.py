@@ -113,9 +113,10 @@ _shared_lift = lru_cache(maxsize=1024)(tuple)
 _shared_orders = lru_cache(maxsize=256)(tuple)
 
 
-def _y_lift(t: int, vec, n: int) -> tuple[int, ...]:
-    """The etale vector ``vec`` mod n as a generator of length 2t."""
-    return _shared_lift((0,) * t + tuple(x % n for x in vec))
+def _y_lift(t: int, vec) -> tuple[int, ...]:
+    """The etale vector ``vec``, a tuple already reduced mod n, as a
+    generator of length 2t."""
+    return _shared_lift((0,) * t + vec)
 
 
 def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
@@ -127,7 +128,7 @@ def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
     n = level_modulus(data.p, m)
     t = data.t
     ker, ys = data.local.kernel(m)
-    gens = _x_lifts(t) + tuple(_y_lift(t, g, n) for g in ys)
+    gens = _x_lifts(t) + tuple(_y_lift(t, g) for g in ys)
     orders = _shared_orders((n,) * t + ker.invariant_factors)
     group = FinAbGroup.of_orders(orders)
     is_full = all(x % n == 0 for x in data.mu.entries)
@@ -178,7 +179,7 @@ def oracle_crys1(data: DegenerationData, m: int) -> Crys1Report:
     del images  # before the pass over the span
 
     orders_y = _type_by_torsion_count(current, n, p, m)
-    gens = _x_lifts(t) + tuple(_y_lift(t, g, n) for g in picked)
+    gens = _x_lifts(t) + tuple(_y_lift(t, g) for g in picked)
     gen_orders = _shared_orders((n,) * t + tuple(n // gcd(n, *g) for g in picked))
     group = FinAbGroup.of_orders((n,) * t + orders_y)
     return Crys1Report(n, t, gens, gen_orders, group, len(current) == n**t)
@@ -367,11 +368,6 @@ class LevelExactness(Record):
         return self.orders_match and self.surjective
 
 
-# a few values recur across inputs, and a caller that keeps many
-# reports then holds one shared instance of each
-_level_exactness = lru_cache(maxsize=256)(LevelExactness)
-
-
 class LesReport(Record):
     """Finite-level truncation of the long exact sequence of the
     maximal-submodule functor on the Tate module.  les_report hands out
@@ -415,7 +411,7 @@ def les_report(data: DegenerationData, cap: int = 12) -> LesReport:
     for m in range(1, min(stab_level + 1, cap) + 1):
         rep = crys1_torsion(data, m)
         phi_m = phi_n(data, m)
-        levels.append(_level_exactness(
+        levels.append(LevelExactness(
             m,
             rep.group.order == rep.n**t * phi_m.order,
             _toric_quotient(rep, data.p, m) == phi_m,

@@ -118,7 +118,7 @@ class DegenerationData(Record):
             raise NotPrime(f"p = {self.p} is not prime") from None
         if self.mu.rows < 1:
             raise BadInput("mu must have at least one row (toric rank >= 1)")
-        if self.mu.rows != self.mu.cols or not self.mu.is_symmetric():
+        if not self.mu.is_symmetric():
             raise NotSymmetric("mu must be a symmetric square matrix")
         for k, minor in enumerate(leading_minors(self.mu), 1):
             if minor <= 0:

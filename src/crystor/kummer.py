@@ -47,16 +47,6 @@ class KummerClass(Record):
                 clean.pop(sym, None)
         set_field(self, "units", tuple(sorted(clean.items())))
 
-    # verify compares thousands of these in class grids: reading the
-    # fields directly, not through the base's attrgetter, is faster
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.val, self.units) == (other.n, other.val, other.units)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.val, self.units))
-
     @classmethod
     def unit(cls, n: int, symbol: str, exp: int = 1) -> "KummerClass":
         return cls(n, 0, ((symbol, exp),))

@@ -351,17 +351,6 @@ class GroupHom(Record):
                         f"entry ({i},{j}) does not respect generator orders"
                     )
 
-    # the key of the presentation cache and of every monodromy-square
-    # check: reading the fields directly is faster than the base's
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.source, self.target, self.matrix)
-                    == (other.source, other.target, other.matrix))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
-
     @classmethod
     def zero(cls, source: FinAbGroup, target: FinAbGroup) -> "GroupHom":
         return cls(source, target,

@@ -7,7 +7,8 @@ one.  The base gives what ``@dataclass(frozen=True)`` would, without
 generating code when a class is defined:
 
 - equality between records of the same class only, on ``_fields``,
-  and a hash of the same fields;
+  and a hash of the same fields; no subclass overrides either, so
+  every value class compares and hashes by this one rule;
 - the repr ``Name(field=value, ...)`` over ``_fields``;
 - no ordering;
 - plain assignment and deletion raise AttributeError, while

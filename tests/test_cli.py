@@ -405,6 +405,24 @@ def test_crys1_loads_the_presentation_layer_for_the_oracle_alone():
         CORE_MODULES + ["crystor.cli"])
 
 
+# imports nothing besides crystor.cli, so that json can only come from it
+NO_JSON = """
+import sys
+import crystor.cli
+code = crystor.cli.main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+@EVERY_SUBCOMMAND
+def test_human_output_does_not_load_json(argv):
+    """Only the ``--json`` rendering loads json."""
+    proc = subprocess.run([sys.executable, "-c", NO_JSON, *argv], cwd=ROOT,
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_package_import_loads_the_core_alone():
     script = ("import sys, crystor\n"
               "print(sorted(m for m in sys.modules if m.startswith('crystor.')))")

@@ -2,7 +2,9 @@
 ``replace`` on crystor's value classes."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from functools import lru_cache
 
 import pytest
@@ -144,6 +146,23 @@ def test_replace_builds_through_the_constructor():
     # validation runs again
     with pytest.raises(ShapeMismatch):
         FinAbGroup((2, 4)).replace(invariant_factors=(4, 2))
+
+
+def test_only_the_base_defines_equality_and_hashing():
+    import crystor
+
+    names = [info.name for info in pkgutil.iter_modules(crystor.__path__, "crystor.")]
+    assert len(names) == 11
+    for name in names:
+        importlib.import_module(name)
+    classes, todo = [], [Record]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        classes += [c for c in subs if c.__module__.startswith("crystor.")]
+        todo += subs
+    assert len(set(classes)) >= 16
+    assert [c.__qualname__ for c in classes
+            if "__eq__" in vars(c) or "__hash__" in vars(c)] == []
 
 
 def test_keyword_construction_through_lru_cache():
