@@ -210,9 +210,7 @@ def parse_input(text: str) -> DegenerationData:
     units = None
     if "units" in entries:
         units = tuple(tuple(row) for row in entries["units"][0])
-    data = DegenerationData(p_val, IntMatrix.from_rows(entries["mu"][0]), units)
-    data.validate()
-    return data
+    return DegenerationData(p_val, IntMatrix.from_rows(entries["mu"][0]), units)
 
 
 def _load(path: str) -> tuple[DegenerationData, str]:

@@ -124,7 +124,6 @@ def crys1_torsion(data: DegenerationData, m: int) -> Crys1Report:
     plus the lifts of the kernel of the monodromy mu mod p^m, read off
     the local Smith form of mu; y-generators come in increasing order,
     ties by column of V."""
-    data.validate()
     n = level_modulus(data.p, m)
     t = data.t
     ker, ys = data.local.kernel(m)
@@ -154,7 +153,6 @@ def oracle_crys1(data: DegenerationData, m: int) -> Crys1Report:
     """
     from .presentation import extend_span, require_element_budget
 
-    data.validate()
     p, t = data.p, data.t
     n = level_modulus(p, m)
     require_element_budget(n, t)
@@ -228,15 +226,13 @@ def _type_by_torsion_count(elements, n: int, p: int, m: int) -> tuple[int, ...]:
 
 def component_group(data: DegenerationData) -> FinAbGroup:
     """Cokernel of the monodromy pairing, read off the cached invariant
-    factors of mu; a validated mu is positive definite, so none is 0."""
-    data.validate()
+    factors of mu; mu is positive definite by construction, so none is 0."""
     return FinAbGroup.of_orders(data.invariants)
 
 
 def phi_n(data: DegenerationData, m: int) -> FinAbGroup:
     """p^m-torsion of the component group, read off the cached invariant
     factors of mu."""
-    data.validate()
     n = level_modulus(data.p, m)
     return n_torsion(component_group(data), n)
 
@@ -336,7 +332,6 @@ def crys1_tate_module(data: DegenerationData) -> TateReport:
     exactly when every local valuation v_i is below m_top (a column of
     the invertible V is never 0 mod p).
     """
-    data.validate()
     p, t = data.p, data.t
     v_max = p_valuation(component_group(data).exponent(), p)
     m_top = max(6, v_max + 1)
@@ -402,7 +397,6 @@ def les_report(data: DegenerationData, cap: int = 12) -> LesReport:
     of the level tower (the local Smith form of mu) against the p-primary
     part of the component group (the invariant factors of mu); a failed
     comparison is reported in ``exact``, not raised."""
-    data.validate()
     t = data.t
     stable, stab_level = _stabilized_phi(data, cap)
     r1 = p_primary_part(component_group(data), data.p)

@@ -67,12 +67,13 @@ def leading_minors(mu: IntMatrix):
 
 
 class DegenerationData(Record):
-    """Construction never validates; call validate() before computing.
+    """Degeneration data (p, mu), validated on construction.
 
-    The instance validates once: a passing validate() is remembered,
-    with det mu as its last leading minor, and a failing one raises
-    again on every call.  Two independent decompositions of ``mu`` are
-    cached on first use:
+    The constructor runs validate() once and keeps det mu, the last
+    leading minor, as ``determinant``, so an invalid (p, mu) raises
+    there and no instance is invalid.  ``replace``, copy and pickle
+    rebuild through the constructor and check again.  Two independent
+    decompositions of ``mu`` are cached on first use:
 
     - ``invariants``, its invariant factors by elimination modulo
       det mu, from which the component group and every level of its
@@ -80,9 +81,9 @@ class DegenerationData(Record):
     - ``local``, its Smith form over Z/p^k, from which every level of
       the maximal 1-crystalline submodule is read.
 
-    No cache takes part in equality or hashing, which see the fields
-    only.  The caches live in the instance ``__dict__``, so this record
-    has no ``__slots__``.
+    Neither ``determinant`` nor the caches take part in equality or
+    hashing, which see the fields only.  They live in the instance
+    ``__dict__``, so this record has no ``__slots__``.
     """
 
     _fields = ("p", "mu", "unit_symbols")
@@ -92,6 +93,7 @@ class DegenerationData(Record):
         set_field(self, "p", p)
         set_field(self, "mu", mu)
         set_field(self, "unit_symbols", unit_symbols)
+        set_field(self, "determinant", self.validate())
 
     @property
     def t(self) -> int:
@@ -104,14 +106,9 @@ class DegenerationData(Record):
             return f"u{min(i, j) + 1}_{max(i, j) + 1}"
         return self.unit_symbols[i][j]
 
-    def validate(self) -> None:
-        self.determinant
-
-    @cached_property
-    def determinant(self) -> int:
-        """det mu, the last leading minor; validates on first use."""
-        # cached_property stores only a returned value, so an instance
-        # that fails its checks runs them, and raises, on every call
+    def validate(self) -> int:
+        """Check the fields and return det mu, the last leading minor;
+        the constructor calls this once."""
         try:
             require_prime(self.p)
         except NotPrime:
@@ -165,7 +162,6 @@ def torsion_module(data: DegenerationData, m: int) -> ExtClass:
     valuation mu[i][j] mod p^m and unit symbol u_ij."""
     from .kummer import ExtClass, KummerClass
 
-    data.validate()
     n = level_modulus(data.p, m)
     t = data.t
     kappa = tuple(
@@ -182,7 +178,6 @@ def monodromy_map(data: DegenerationData, m: int) -> GroupHom:
     """nu = mu mod p^m, from the etale part to the multiplicative part."""
     from .presentation import GroupHom
 
-    data.validate()
     n = level_modulus(data.p, m)
     free = FinAbGroup.of_orders([n] * data.t)
     return GroupHom(free, free, data.mu.mod(n))

@@ -25,8 +25,8 @@ from .crys import (
     phi_formula_check,
     tate_closed_form,
 )
-from .degen import DegenerationData
-from .errors import ArtifactError, BadLevel
+from .degen import DegenerationData, level_modulus
+from .errors import ArtifactError
 from .pushout import (
     ExtNuMorphism,
     check_mp_exactness,
@@ -67,9 +67,8 @@ def _verify_checks(data: DegenerationData, max_m: int,
     def add(name: str, ok: bool, detail: str = ""):
         checks.append((name, ok, detail if not ok else ""))
 
-    if max_m < 1:
-        raise BadLevel("torsion level exponent must be at least 1")
     p, t, mu = data.p, data.t, data.mu
+    level_modulus(p, max_m)  # refuses max_m < 1 before any check runs
     coker = component_group(data)
     oracle_space = min(1 << 12, enum_budget())
 

@@ -50,9 +50,7 @@ def matrix_corpus() -> list[DegenerationData]:
                 mu = IntMatrix.from_rows([[v]])
             else:
                 mu = _random_spd(rng, t)
-            data = DegenerationData(p, mu)
-            data.validate()
-            corpus.append(data)
+            corpus.append(DegenerationData(p, mu))
     return corpus
 
 

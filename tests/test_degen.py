@@ -1,6 +1,8 @@
 """Degeneration data: validation, torsion extension class, Raynaud
 decomposition."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from crystor.degen import (
     torsion_module,
 )
 from crystor.errors import (
+    BadInput,
     BadLevel,
     NotPositiveDefinite,
     NotPrime,
@@ -48,19 +51,19 @@ def spd_matrices(t, bound=9):
 
 
 def test_validate_tate_curve():
-    data_of(5, [[5]]).validate()
+    assert data_of(5, [[5]]).determinant == 5
 
 
 def test_validate_rejects_zero_valuation():
     with pytest.raises(NotPositiveDefinite) as exc:
-        data_of(5, [[0]]).validate()
+        data_of(5, [[0]])
     assert exc.value.minor_index == 1
     assert exc.value.minor_value == 0
 
 
 def test_validate_reports_failing_minor():
     with pytest.raises(NotPositiveDefinite) as exc:
-        data_of(3, [[1, 2], [2, 1]]).validate()
+        data_of(3, [[1, 2], [2, 1]])
     assert exc.value.minor_index == 2
     assert exc.value.minor_value == -3
     assert "minor 2 is -3" in str(exc.value)
@@ -68,16 +71,23 @@ def test_validate_reports_failing_minor():
 
 def test_validate_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        data_of(3, [[2, 1], [0, 2]]).validate()
+        data_of(3, [[2, 1], [0, 2]])
 
 
 def test_validate_rejects_composite_p():
     with pytest.raises(NotPrime):
-        data_of(6, [[1]]).validate()
+        data_of(6, [[1]])
 
 
 def test_validate_runs_its_checks_once(monkeypatch):
     import crystor.degen
+    from crystor.crys import (
+        component_group,
+        crys1_torsion,
+        les_report,
+        phi_formula_check,
+        r1crys1_tors,
+    )
 
     dets = []
     passes = []
@@ -90,15 +100,20 @@ def test_validate_runs_its_checks_once(monkeypatch):
                         lambda m: passes.append(m) or real_minors(m))
     monkeypatch.setattr(crystor.degen, "require_prime",
                         lambda p: primes.append(p) or real_prime(p))
-    data = data_of(3, [[4, 1, 0], [1, 4, 1], [0, 1, 4]])
-    for _ in range(3):
-        data.validate()
+    rows = [[4, 1, 0], [1, 4, 1], [0, 1, 4]]
+    data = data_of(3, rows)
+    component_group(data)
+    r1crys1_tors(data)
+    les_report(data)
+    for m in (1, 2, 3):
+        crys1_torsion(data, m)
+    phi_formula_check(data, 1)
     assert len(passes) == 1  # one Bareiss pass yields every leading minor
     assert dets == []
     assert primes == [3]
     assert data.determinant == 56
     # a fresh equal instance validates afresh
-    data_of(3, [[4, 1, 0], [1, 4, 1], [0, 1, 4]]).validate()
+    data_of(3, rows)
     assert len(passes) == 2
 
 
@@ -137,18 +152,35 @@ def test_leading_minors_stop_at_a_zero_minor():
     assert list(leading_minors(IntMatrix.from_rows(
         [[1, 1, 0], [1, 1, 0], [0, 0, 1]]))) == [1, 0]
     with pytest.raises(NotPositiveDefinite) as exc:
-        data_of(3, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]).validate()
+        data_of(3, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     assert (exc.value.minor_index, exc.value.minor_value) == (2, 0)
 
 
 def test_invalid_instance_raises_on_every_call():
-    indefinite = data_of(3, [[1, 2], [2, 1]])
-    asymmetric = data_of(3, [[2, 1], [0, 2]])
-    for _ in range(3):
-        with pytest.raises(NotPositiveDefinite):
-            indefinite.validate()
-        with pytest.raises(NotSymmetric):
-            asymmetric.validate()
+    builds = [
+        (NotPrime, lambda: data_of(4, [[1]])),
+        (BadInput, lambda: DegenerationData(3, IntMatrix(0, 0, ()))),
+        (NotSymmetric, lambda: data_of(3, [[2, 1], [0, 2]])),
+        (NotPositiveDefinite, lambda: data_of(3, [[1, 2], [2, 1]])),
+        (ShapeMismatch, lambda: data_of(2, [[1, 0], [0, 1]], (("a",), ("b",)))),
+    ]
+    for error, build in builds:
+        for _ in range(3):
+            with pytest.raises(error) as exc:
+                build()
+            if error is NotPositiveDefinite:
+                assert (exc.value.minor_index, exc.value.minor_value) == (2, -3)
+
+
+def test_rebuilds_validate_again():
+    data = data_of(3, [[2, 1], [1, 2]])
+    with pytest.raises(NotPrime):
+        data.replace(p=4)
+    with pytest.raises(NotPositiveDefinite) as exc:
+        data.replace(mu=IntMatrix.from_rows([[1, 2], [2, 1]]))
+    assert (exc.value.minor_index, exc.value.minor_value) == (2, -3)
+    copy = pickle.loads(pickle.dumps(data))
+    assert copy == data and copy.determinant == data.determinant == 3
 
 
 def test_smith_form_is_cached_outside_equality():
@@ -158,14 +190,13 @@ def test_smith_form_is_cached_outside_equality():
     assert data.invariants == (1, 3)
     assert data.local is data.local
     assert data.local.valuations == (0, 1)
-    data.validate()
     assert data == twin and hash(data) == hash(twin)
     assert repr(data) == repr(twin)
 
 
 def test_validate_rejects_bad_symbol_grid():
     with pytest.raises(ShapeMismatch):
-        data_of(2, [[1, 0], [0, 1]], (("a",), ("b",))).validate()
+        data_of(2, [[1, 0], [0, 1]], (("a",), ("b",)))
 
 
 def test_default_symbols_symmetric():
@@ -238,4 +269,4 @@ def test_recombination_identity(data):
 
 @given(spd_matrices(3, bound=6))
 def test_spd_strategy_actually_validates(rows):
-    data_of(2, rows).validate()
+    data_of(2, rows)
