@@ -26,7 +26,7 @@ from math import gcd, isqrt, prod
 from operator import mul
 
 from .errors import BadInput, BadModulus, NotPrime, ShapeMismatch
-from .record import Record, set_field
+from .record import Record
 
 _BENCH_NAMES = frozenset((
     "enumerate_subgroups", "hnf_rows", "kernel_mod_n", "quotient_orders",
@@ -55,12 +55,6 @@ class IntMatrix(Record):
     """A rows x cols matrix of arbitrary-precision integers, row-major."""
 
     __slots__ = _fields = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
-        set_field(self, "rows", rows)
-        set_field(self, "cols", cols)
-        set_field(self, "entries", entries)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -282,13 +276,6 @@ class LocalSmith(Record):
 
     __slots__ = _fields = ("p", "k", "valuations", "columns")
 
-    def __init__(self, p: int, k: int, valuations: tuple[int, ...],
-                 columns: tuple[tuple[int, ...], ...]):
-        set_field(self, "p", p)
-        set_field(self, "k", k)
-        set_field(self, "valuations", valuations)
-        set_field(self, "columns", columns)
-
     def kernel(self, m: int) -> tuple[FinAbGroup, tuple[tuple[int, ...], ...]]:
         """Kernel of M on (Z/p^m)^t with aligned generators, as
         presentation.kernel_mod_n gives it: p^(m - e_i) V_i mod p^m has order
@@ -404,9 +391,7 @@ class FinAbGroup(Record):
 
     __slots__ = _fields = ("invariant_factors",)
 
-    def __init__(self, invariant_factors: tuple[int, ...] = ()):
-        set_field(self, "invariant_factors", invariant_factors)
-        self.__post_init__()
+    _defaults = {"invariant_factors": ()}
 
     def __post_init__(self):
         for i, d in enumerate(self.invariant_factors):

@@ -45,7 +45,7 @@ from .crys import (
 )
 from .degen import DegenerationData, level_modulus
 from .errors import ArtifactError, BadInput, ParseError
-from .record import Record, set_field
+from .record import Record
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -87,51 +87,46 @@ def _parse_matrix(lines: list[str], i: int, j: int, kind: str, key: str):
             raise ParseError("unclosed '[' in matrix", *open_pos)
         return token
 
+    def items(open_pos, empty: str, after: str, item) -> tuple[list, tuple[int, int]]:
+        """A comma-separated list closed by ']', its '[' at open_pos:
+        item(typ, text, pos) reads each entry from its first token.
+        Returns the entries and the position of the ']'."""
+        typ, text, pos = take(open_pos)
+        if typ == "]":
+            raise ParseError(empty, *pos)
+        entries = []
+        while True:
+            entries.append(item(typ, text, pos))
+            typ, text, pos = take(open_pos)
+            if typ == "]":
+                return entries, pos
+            if typ != ",":
+                raise ParseError(f"expected ',' or ']' {after}, found {text!r}", *pos)
+            typ, text, pos = take(open_pos)
+
     what, convert = ("an integer", int) if kind == "int" else ("a symbol name", str)
-    _, _, open_pos = take((i + 1, j + 1))
-    rows: list[list] = []
-    row_positions: list[tuple[int, int]] = []
-    typ, text, pos = take(open_pos)
-    if typ == "]":
-        raise ParseError(f"{key} needs at least one row", *pos)
-    while True:
+
+    def entry(typ: str, text: str, pos: tuple[int, int]):
+        if typ != kind:
+            raise ParseError(f"expected {what} in {key}, found {text!r}", *pos)
+        return convert(text)
+
+    def row(typ: str, text: str, pos: tuple[int, int]) -> tuple[list, tuple[int, int]]:
         if typ != "[":
             raise ParseError(
                 f"expected '[' to start a row of {key}, found {text!r}", *pos)
-        row_open = pos
-        row: list = []
-        typ, text, pos = take(row_open)
-        if typ == "]":
-            raise ParseError(f"a row of {key} needs at least one entry", *pos)
-        while True:
-            if typ != kind:
-                raise ParseError(
-                    f"expected {what} in {key}, found {text!r}", *pos)
-            row.append(convert(text))
-            typ, text, pos = take(row_open)
-            if typ == ",":
-                typ, text, pos = take(row_open)
-                continue
-            if typ == "]":
-                break
+        return items(pos, f"a row of {key} needs at least one entry",
+                     f"in a row of {key}", entry)[0], pos
+
+    _, _, open_pos = take((i + 1, j + 1))
+    rows, pos = items(open_pos, f"{key} needs at least one row",
+                      f"after a row of {key}", row)
+    width = len(rows[0][0])
+    for k, (entries, row_open) in enumerate(rows, 1):
+        if len(entries) != width:
             raise ParseError(
-                f"expected ',' or ']' in a row of {key}, found {text!r}", *pos)
-        rows.append(row)
-        row_positions.append(row_open)
-        typ, text, pos = take(open_pos)
-        if typ == ",":
-            typ, text, pos = take(open_pos)
-            continue
-        if typ == "]":
-            break
-        raise ParseError(
-            f"expected ',' or ']' after a row of {key}, found {text!r}", *pos)
-    width = len(rows[0])
-    for k, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"row {k + 1} of {key} has {len(row)} entries, expected {width}",
-                *row_positions[k],
+                f"row {k} of {key} has {len(entries)} entries, expected {width}",
+                *row_open,
             )
     # the rest of the closing bracket's line
     line, col = pos
@@ -139,7 +134,7 @@ def _parse_matrix(lines: list[str], i: int, j: int, kind: str, key: str):
     if rest.strip():
         pad = len(rest) - len(rest.lstrip())
         raise ParseError(f"unexpected text after {key}", line, col + pad + 1)
-    return rows, line
+    return [entries for entries, _ in rows], line
 
 
 def parse_input(text: str) -> DegenerationData:
@@ -239,12 +234,6 @@ class Report(Record):
     rendering."""
 
     __slots__ = _fields = ("command", "digest", "payload", "human")
-
-    def __init__(self, command: str, digest: str, payload: dict, human: str):
-        set_field(self, "command", command)
-        set_field(self, "digest", digest)
-        set_field(self, "payload", payload)
-        set_field(self, "human", human)
 
     def machine(self) -> str:
         # imported here, so runs with human output never load json

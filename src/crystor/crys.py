@@ -57,7 +57,7 @@ from .abelian import (
 )
 from .degen import DegenerationData, level_modulus
 from .errors import BadInput, NotStabilized, RouteDisagreement
-from .record import Record, set_field
+from .record import Record
 
 
 class Crys1Report(Record):
@@ -73,16 +73,6 @@ class Crys1Report(Record):
 
     __slots__ = _fields = ("n", "t", "generators", "generator_orders", "group",
                            "is_full")
-
-    def __init__(self, n: int, t: int, generators: tuple[tuple[int, ...], ...],
-                 generator_orders: tuple[int, ...], group: FinAbGroup,
-                 is_full: bool):
-        set_field(self, "n", n)
-        set_field(self, "t", t)
-        set_field(self, "generators", generators)
-        set_field(self, "generator_orders", generator_orders)
-        set_field(self, "group", group)
-        set_field(self, "is_full", is_full)
 
     @property
     def ambient_order(self) -> int:
@@ -315,13 +305,6 @@ class TateReport(Record):
 
     __slots__ = _fields = ("rank", "weight", "levels_checked", "y_part_vanishes")
 
-    def __init__(self, rank: int, weight: int, levels_checked: int,
-                 y_part_vanishes: bool):
-        set_field(self, "rank", rank)
-        set_field(self, "weight", weight)
-        set_field(self, "levels_checked", levels_checked)
-        set_field(self, "y_part_vanishes", y_part_vanishes)
-
 
 def crys1_tate_module(data: DegenerationData) -> TateReport:
     """Rank-t free module of twist weight 1.
@@ -354,11 +337,6 @@ class LevelExactness(Record):
 
     __slots__ = _fields = ("m", "orders_match", "surjective")
 
-    def __init__(self, m: int, orders_match: bool, surjective: bool):
-        set_field(self, "m", m)
-        set_field(self, "orders_match", orders_match)
-        set_field(self, "surjective", surjective)
-
     def ok(self) -> bool:
         return self.orders_match and self.surjective
 
@@ -372,20 +350,6 @@ class LesReport(Record):
     __slots__ = _fields = ("cap", "stabilized_at", "tate_rank", "rational_rank",
                            "divisible_rank", "colimit_torsion", "r1_torsion",
                            "levels", "exact")
-
-    def __init__(self, cap: int, stabilized_at: int, tate_rank: int,
-                 rational_rank: int, divisible_rank: int,
-                 colimit_torsion: FinAbGroup, r1_torsion: FinAbGroup,
-                 levels: tuple[LevelExactness, ...], exact: bool):
-        set_field(self, "cap", cap)
-        set_field(self, "stabilized_at", stabilized_at)
-        set_field(self, "tate_rank", tate_rank)
-        set_field(self, "rational_rank", rational_rank)
-        set_field(self, "divisible_rank", divisible_rank)
-        set_field(self, "colimit_torsion", colimit_torsion)
-        set_field(self, "r1_torsion", r1_torsion)
-        set_field(self, "levels", levels)
-        set_field(self, "exact", exact)
 
 
 # equal reports recur across inputs with the same p-primary structure
@@ -402,7 +366,7 @@ def les_report(data: DegenerationData, cap: int = 12) -> LesReport:
     r1 = p_primary_part(component_group(data), data.p)
 
     levels = []
-    for m in range(1, min(stab_level + 1, cap) + 1):
+    for m in range(1, stab_level + 2):
         rep = crys1_torsion(data, m)
         phi_m = phi_n(data, m)
         levels.append(LevelExactness(

@@ -69,7 +69,8 @@ def leading_minors(mu: IntMatrix):
 class DegenerationData(Record):
     """Degeneration data (p, mu), validated on construction.
 
-    The constructor runs validate() once and keeps det mu, the last
+    ``__post_init__``, which the record constructor calls once the
+    fields are written, runs validate() once and keeps det mu, the last
     leading minor, as ``determinant``, so an invalid (p, mu) raises
     there and no instance is invalid.  ``replace``, copy and pickle
     rebuild through the constructor and check again.  Two independent
@@ -88,11 +89,9 @@ class DegenerationData(Record):
 
     _fields = ("p", "mu", "unit_symbols")
 
-    def __init__(self, p: int, mu: IntMatrix,
-                 unit_symbols: tuple[tuple[str, ...], ...] | None = None):
-        set_field(self, "p", p)
-        set_field(self, "mu", mu)
-        set_field(self, "unit_symbols", unit_symbols)
+    _defaults = {"unit_symbols": None}
+
+    def __post_init__(self):
         set_field(self, "determinant", self.validate())
 
     @property

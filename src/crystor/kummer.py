@@ -28,11 +28,7 @@ class KummerClass(Record):
 
     __slots__ = _fields = ("n", "val", "units")
 
-    def __init__(self, n: int, val: int = 0, units: tuple[tuple[str, int], ...] = ()):
-        set_field(self, "n", n)
-        set_field(self, "val", val)
-        set_field(self, "units", units)
-        self.__post_init__()
+    _defaults = {"val": 0, "units": ()}
 
     def __post_init__(self):
         if self.n < 2:
@@ -94,14 +90,6 @@ class ExtClass(Record):
     """
 
     __slots__ = _fields = ("n", "mult_rank", "etale_rank", "kappa")
-
-    def __init__(self, n: int, mult_rank: int, etale_rank: int,
-                 kappa: tuple[tuple[KummerClass, ...], ...]):
-        set_field(self, "n", n)
-        set_field(self, "mult_rank", mult_rank)
-        set_field(self, "etale_rank", etale_rank)
-        set_field(self, "kappa", kappa)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(self.kappa) != self.mult_rank:

@@ -66,12 +66,6 @@ class SnfResult(Record):
 
     __slots__ = _fields = ("U", "D", "V", "Vinv")
 
-    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix, Vinv: IntMatrix):
-        set_field(self, "U", U)
-        set_field(self, "D", D)
-        set_field(self, "V", V)
-        set_field(self, "Vinv", Vinv)
-
     def orders(self, n: int) -> tuple[int, ...]:
         """The cyclic orders of coker D over Z/n, one per column:
         gcd(d_j, n) on the diagonal and n past it, a divisibility chain."""
@@ -322,12 +316,6 @@ class GroupHom(Record):
     """
 
     __slots__ = _fields = ("source", "target", "matrix")
-
-    def __init__(self, source: FinAbGroup, target: FinAbGroup, matrix: IntMatrix):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "matrix", matrix)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.matrix.rows != self.target.rank or self.matrix.cols != self.source.rank:

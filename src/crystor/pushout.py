@@ -39,12 +39,6 @@ class ExtNuObject(Record):
 
     __slots__ = _fields = ("n", "eta_ok", "nu")
 
-    def __init__(self, n: int, eta_ok: ExtClass, nu: GroupHom):
-        set_field(self, "n", n)
-        set_field(self, "eta_ok", eta_ok)
-        set_field(self, "nu", nu)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.eta_ok.n != self.n:
             raise ShapeMismatch("class level disagrees with object level")
@@ -113,11 +107,7 @@ class PresentedModule(Record):
     _fields = ("orders", "relations")
     __slots__ = _fields + ("group", "_coords", "_lifts")
 
-    def __init__(self, orders: tuple[int, ...],
-                 relations: tuple[tuple[int, ...], ...] = ()):
-        set_field(self, "orders", orders)
-        set_field(self, "relations", relations)
-        self.__post_init__()
+    _defaults = {"relations": ()}
 
     def __post_init__(self):
         if any(o < 1 for o in self.orders):
@@ -257,14 +247,6 @@ class ExtNuMorphism(Record):
 
     _fields = ("source", "target", "mult_map", "etale_map")
     __slots__ = _fields + ("mult_hom", "etale_hom")
-
-    def __init__(self, source: ExtNuObject, target: ExtNuObject,
-                 mult_map: IntMatrix, etale_map: IntMatrix):
-        set_field(self, "source", source)
-        set_field(self, "target", target)
-        set_field(self, "mult_map", mult_map)
-        set_field(self, "etale_map", etale_map)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.source.n != self.target.n:

@@ -10,6 +10,7 @@ order law #crys1(p^m) = p^(mt) * prod gcd(d_i, p^m).
 import random
 from math import gcd, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystor.abelian import (
@@ -57,20 +58,16 @@ def canonical(gens, n, t):
 # --- invariant factors modulo the determinant --------------------------
 
 
-def test_invariants_match_the_integer_smith_form(sympy_invariant_factors):
-    rng = random.Random(41)
-    for t in range(1, 21):
-        for rows in (spd_rows(rng, t, 9), congruent_rows(rng, t, 3, 3)):
-            mu = IntMatrix.from_rows(rows)
-            data = DegenerationData(3, mu)
-            assert data.invariants == sympy_invariant_factors(rows), rows
-
-
-def test_invariants_match_sympy(sympy_invariant_factors):
-    rng = random.Random(43)
-    for t in range(1, 13):
-        for p in (2, 5):
-            for rows in (spd_rows(rng, t, 10**6 // t), congruent_rows(rng, t, p, 4)):
+@pytest.mark.parametrize("seed, t_max, primes, bound, top", [
+    (41, 20, (3,), lambda t: 9, 3),
+    (43, 12, (2, 5), lambda t: 10**6 // t, 4),
+], ids=["small-entries", "large-entries"])
+def test_invariants_match_the_smith_form(sympy_invariant_factors, seed, t_max, primes,
+                                         bound, top):
+    rng = random.Random(seed)
+    for t in range(1, t_max + 1):
+        for p in primes:
+            for rows in (spd_rows(rng, t, bound(t)), congruent_rows(rng, t, p, top)):
                 data = DegenerationData(p, IntMatrix.from_rows(rows))
                 assert data.invariants == sympy_invariant_factors(rows), rows
 

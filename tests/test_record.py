@@ -29,10 +29,7 @@ from crystor.record import Record, set_field
 
 class Pair(Record):
     __slots__ = _fields = ("a", "b")
-
-    def __init__(self, a, b=0):
-        set_field(self, "a", a)
-        set_field(self, "b", b)
+    _defaults = {"b": 0}
 
 
 class OtherPair(Pair):
@@ -148,7 +145,8 @@ def test_replace_builds_through_the_constructor():
         FinAbGroup((2, 4)).replace(invariant_factors=(4, 2))
 
 
-def test_only_the_base_defines_equality_and_hashing():
+def crystor_records():
+    """Every Record subclass that crystor's modules define."""
     import crystor
 
     names = [info.name for info in pkgutil.iter_modules(crystor.__path__, "crystor.")]
@@ -161,8 +159,40 @@ def test_only_the_base_defines_equality_and_hashing():
         classes += [c for c in subs if c.__module__.startswith("crystor.")]
         todo += subs
     assert len(set(classes)) >= 16
-    assert [c.__qualname__ for c in classes
+    return classes
+
+
+def test_only_the_base_defines_equality_and_hashing():
+    assert [c.__qualname__ for c in crystor_records()
             if "__eq__" in vars(c) or "__hash__" in vars(c)] == []
+
+
+def test_only_the_base_writes_the_fields():
+    assert [c.__qualname__ for c in crystor_records() if "__init__" in vars(c)] == []
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LevelExactness(1, True), "LevelExactness() missing field 'surjective'"),
+    (lambda: LevelExactness(1, True, True, False),
+     "LevelExactness() takes 3 fields but 4 were given"),
+    (lambda: LevelExactness(1, True, True, ok=True),
+     "LevelExactness() got an unexpected field 'ok'"),
+    (lambda: LevelExactness(1, True, True, m=2),
+     "LevelExactness() got multiple values for field 'm'"),
+    (lambda: KummerClass(val=1), "KummerClass() missing field 'n'"),
+], ids=["missing", "extra-positional", "unknown-keyword", "repeated-keyword",
+        "missing-without-default"])
+def test_constructor_rejects_bad_arguments(build, message):
+    with pytest.raises(TypeError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_defaults_fill_the_fields_left_out():
+    assert KummerClass(5) == KummerClass(5, 0, ())
+    assert KummerClass(5, units=(("u", 6),)) == KummerClass(5, 0, (("u", 1),))
+    assert PresentedModule((3,)).relations == ()
+    assert Pair(a=1) == Pair(1, 0)
 
 
 def test_keyword_construction_through_lru_cache():
